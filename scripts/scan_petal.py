@@ -25,7 +25,6 @@ def main():
                     help="x0,x1,y0,y1,nx,ny")
     ap.add_argument("--plane", default="MU_HAT",
                     choices=("ALPHA", "MU", "MU_HAT", "INV_ALPHA"))
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out", default="petal_scan.csv")
     args = ap.parse_args()
 
@@ -34,8 +33,7 @@ def main():
     # conversion factor between the raw coupling and the scaled plane for
     # this pole layout: (z1 - w1)(z2 - w1) with w1 = conj(-i)
     conv = (-1j - 1j) * (-2j - 1j)
-    sg = scan_defect_grid(base_model(), grid, plane=args.plane,
-                          conv=conv, threads=args.threads)
+    sg = scan_defect_grid(base_model(), grid, plane=args.plane, conv=conv)
     sg.write_csv(args.out)
     n_unres = int((sg.defects < 0).sum())
     print(f"wrote {args.out}: {sg.nx}x{sg.ny} cells, "

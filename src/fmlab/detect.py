@@ -21,16 +21,17 @@ multiplication-symbol curve whose complement components organize the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .ratfun import (
-    Poly, RatFun, REAL_BAND, _CLUSTER, cauchy_transform, conj_reflect,
-    inner_product, l2_norm, partial_fractions, poly_roots,
+    Poly, RatFun, REAL_BAND, _CLUSTER, _TRIM_REL, cauchy_transform,
+    conj_reflect, l2_norm, partial_fractions, poly_roots,
 )
 from .hardy import (
-    PiecewiseFun, QuadratureError, boundary_value, cauchy_transform_num,
+    QuadratureError, boundary_value, cauchy_transform_num,
     factorize_rational, quad_gk, quad_real_line, riesz_split,
 )
 from .friedrichs import FriedrichsModel
@@ -38,6 +39,7 @@ from .friedrichs import FriedrichsModel
 __all__ = [
     "DefectReport", "JumpReport", "PiecewiseModel", "RankCheck",
     "SpectrumMembership", "DisjointReport", "SymbolCurve",
+    "continuation_terms", "alpha_pencil", "pencil_roots", "pencil_defects",
     "defect_hardy_plus", "sperp_basis", "sperp_residual",
     "toeplitz_defect", "toeplitz_sperp_basis", "spectrum_T_membership",
     "disjoint_support_classify", "mb_jump", "jump_rank_check",
@@ -51,6 +53,13 @@ INFINITE = "INFINITE"
 _PHIBAR_ZERO_TOL = 1e-10
 _M0_LIMIT_TOL = 1e-8
 _RANK_SV_REL = 1e-6
+_RESIDUE_CUT = 1e-13      # psi residues at or below this are dropped
+# Margin of the batched count in pencil_defects.  Near the axis, a data pole
+# or a lower zero of phibar (within this distance relative to 1 + |z|),
+# near the residue cut or near ratfun's coefficient trim (within this
+# factor), defect_hardy_plus bands, excludes, cancels, drops or trims roots
+# that the bare count keeps; such cells are left to defect_hardy_plus.
+_PENCIL_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,10 +136,6 @@ def _hat(f, lam):
     return cauchy_transform_num(f, lam)
 
 
-def _hat_side(f, k, side):
-    return boundary_value(f, k, side)
-
-
 def _support_quad(pw, g, lam):
     """int pw(t) g(t)/(t - lam) over the support of the piecewise factor."""
     total = 0j
@@ -195,23 +200,112 @@ def _psi_pole_data(psi):
     terms, _ = partial_fractions(psi)
     if any(k > 1 for _, k, _ in terms):
         raise ValueError("psi must have simple poles only")
-    data = [(z, c) for z, k, c in terms if abs(c) > 1e-13]
-    return data
+    return [(z, c) for z, k, c in terms if abs(c) > _RESIDUE_CUT]
+
+
+def _hardy_plus_poles(model):
+    """The psi pole data of a model that the upper-Hardy route accepts."""
+    _require_halfplane(model.phi, "LOWER", "phi")
+    _require_halfplane(model.psi, "LOWER", "psi")
+    pole_data = _psi_pole_data(model.psi)
+    zs = [z for z, _ in pole_data]
+    if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
+        raise ValueError("psi poles must be distinct")
+    return pole_data, zs
+
+
+def continuation_terms(model):
+    """(z_k, a_k) with a_k = c_k phibar(z_k) over the simple psi poles z_k.
+
+    The real-root curve of the alpha family in the 1/alpha plane is
+    2 pi i xi(t), xi(t) = sum_k a_k/(z_k - t) for real t.
+    """
+    phibar = conj_reflect(model.phi)
+    return tuple((z, c * complex(phibar(z))) for z, c in _psi_pole_data(model.psi))
 
 
 def d_plus(model):
     """Meromorphic continuation of D from the upper half-plane, as a RatFun.
 
     For psi = sum c_j/(x - z_j) with poles below the axis and phi in the same
-    class, D_plus(mu) = 1 + 2 pi i sum_j c_j phibar(z_j)/(mu - z_j).
+    class, D_plus(mu) = 1 + 2 pi i sum_j a_j/(mu - z_j) over the
+    continuation_terms (z_j, a_j).
     """
-    phibar = conj_reflect(model.phi)
     out = RatFun.const(1.0)
-    for z, c in _psi_pole_data(model.psi):
-        w = 2j * PI * c * complex(phibar(z))
-        if w != 0:
-            out = out + RatFun.simple_pole(z, w)
+    for z, a in continuation_terms(model):
+        if a != 0:
+            out = out + RatFun.simple_pole(z, 2j * PI * a)
     return out
+
+
+def alpha_pencil(model):
+    """The continued determinant of the family (phi, alpha psi) as a pencil.
+
+    Returns (zs, P, Q), coefficients ascending: P = prod_k (x - z_k) is monic
+    of degree N over the psi poles z_k, and Q = sum_k a_k prod_{j != k}
+    (x - z_j) over the continuation_terms, so that d_plus of (phi, alpha psi)
+    is (P + 2 pi i alpha Q)/P for every alpha.
+    """
+    terms = continuation_terms(model)
+    zs = np.array([z for z, _ in terms], dtype=complex)
+    Q = np.zeros(len(zs), dtype=complex)
+    for k, (_, a) in enumerate(terms):
+        Q += a * npp.polyfromroots(np.delete(zs, k))
+    return zs, npp.polyfromroots(zs).astype(complex), Q
+
+
+def pencil_roots(pencil, alphas):
+    """Roots of P + 2 pi i alpha Q for each alpha: an array (len(alphas), N).
+
+    The numerator is monic of degree N, so its roots are the eigenvalues of
+    its companion matrix; all alphas share one stacked eigvals call.
+    """
+    _, P, Q = pencil
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    n = len(Q)
+    comp = np.zeros((alphas.shape[0], n, n), dtype=complex)
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, :, -1:] = -(P[:-1] + 2j * PI * alphas * Q)[:, :, None]  # empty if n = 0
+    return np.linalg.eigvals(comp)
+
+
+def pencil_defects(model, alphas):
+    """defect_hardy_plus(phi, alpha psi).defect for many alphas at once.
+
+    Counts N - #{Im r < -REAL_BAND} over the pencil roots r of each alpha.
+    Entries are -1 in the _PENCIL_GUARD cells, where that count may differ
+    from defect_hardy_plus; those need defect_hardy_plus itself.  Raises
+    ValueError for models where no alpha can be counted this way: psi poles
+    repeated, not distinct or with a dropped residue, data in the wrong
+    half-plane, or phibar vanishing at a data pole.
+    """
+    pole_data, _ = _hardy_plus_poles(model)
+    if len(pole_data) != len(model.psi.poles):
+        raise ValueError("psi has a pole with a negligible residue")
+    pencil = alpha_pencil(model)
+    zs, P, Q = pencil
+    phibar = conj_reflect(model.phi)
+    if any(abs(phibar(z)) <= _PHIBAR_ZERO_TOL for z in zs):
+        raise ValueError("phibar vanishes at a data pole")
+    zeros = poly_roots(phibar.num) if phibar.num.degree >= 1 else []
+    lower_zeros = np.array([z for z, _ in zeros if z.imag < 0], dtype=complex)
+    c_min = min((abs(c) for _, c in pole_data), default=0.0)
+
+    alphas = np.asarray(alphas, dtype=complex).ravel()
+    roots = pencil_roots(pencil, alphas)
+
+    def near(points):
+        dist = np.abs(roots[:, :, None] - points)
+        return np.any(dist <= _PENCIL_GUARD * (1.0 + np.abs(points)), axis=(1, 2))
+
+    near_axis = np.any(
+        np.abs(roots.imag) <= _PENCIL_GUARD * (1.0 + np.abs(roots)), axis=1)
+    near_cut = np.abs(alphas) * c_min <= _RESIDUE_CUT / _PENCIL_GUARD
+    # a bound on the largest numerator coefficient; the leading one is 1
+    top = np.max(np.abs(P)) + 2 * PI * np.abs(alphas) * np.max(np.abs(Q), initial=0.0)
+    near_trim = top * _TRIM_REL >= _PENCIL_GUARD
+    guarded = near_axis | near(zs) | near(lower_zeros) | near_cut | near_trim
+    return np.where(guarded, -1, len(zs) - np.sum(roots.imag < -REAL_BAND, axis=1))
 
 
 def defect_hardy_plus(model):
@@ -221,12 +315,7 @@ def defect_hardy_plus(model):
     phibar/D_plus away from the data poles; M0 the degenerate data poles
     (phibar vanishing there without restoring the unit limit).
     """
-    _require_halfplane(model.phi, "LOWER", "phi")
-    _require_halfplane(model.psi, "LOWER", "psi")
-    pole_data = _psi_pole_data(model.psi)
-    zs = [z for z, _ in pole_data]
-    if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
-        raise ValueError("psi poles must be distinct")
+    pole_data, zs = _hardy_plus_poles(model)
     N = len(pole_data)
     phibar = conj_reflect(model.phi)
     dp = d_plus(model)
@@ -502,8 +591,8 @@ def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
             pad = (b - a) * 1e-3
             grid = np.linspace(a + pad, b - pad, npts)
             for k in grid:
-                vm = 1.0 - complex(psi(k)) * _hat_side(phibar, k, "-")
-                vp = 1.0 - complex(psi(k)) * _hat_side(phibar, k, "+")
+                vm = 1.0 - complex(psi(k)) * boundary_value(phibar, k, "-")
+                vp = 1.0 - complex(psi(k)) * boundary_value(phibar, k, "+")
                 agree = max(agree, abs(vp - vm))
                 ks.append(k)
                 vs.append(vm)
@@ -556,10 +645,10 @@ def mb_jump(model, k, tol=1e-8):
 
     def minv(side):
         sgn = PI * 1j if side == "+" else -PI * 1j
-        ph = _hat_side(psi, k, side)
-        fh = _hat_side(phibar, k, side)
+        ph = boundary_value(psi, k, side)
+        fh = boundary_value(phibar, k, side)
         if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-            D = 1.0 + _hat_side(psi * phibar, k, side)
+            D = 1.0 + boundary_value(psi * phibar, k, side)
         else:
             D = _d_at(phi, psi, complex(k, 1e-300 if side == "+" else -1e-300))
         if abs(D) < 1e-12:
@@ -575,14 +664,6 @@ def mb_jump(model, k, tol=1e-8):
         jump_m = 1.0 / mp - 1.0 / mm
         rank = 0 if abs(jump_m) <= tol else 1
     return JumpReport(k, jump_minv, jump_m, rank, "closed-form")
-
-
-def _d_boundary(phi, psi, k, side):
-    phibar = _phibar_of(phi)
-    if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-        return 1.0 + _hat_side(psi * phibar, k, side)
-    # disjoint-support piecewise data: the product vanishes
-    return 1.0 + 0j
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +871,7 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
         vals = script(ks)
     else:
         def pplus(f, k):
-            return _hat_side(f, k, "+") / (2j * PI)
+            return boundary_value(f, k, "+") / (2j * PI)
         vals = np.array([
             pplus(phibar, k) * complex(psi(k)) - _pp_product(psi, phibar, k)
             for k in ks])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ratfun import (
     Poly, RatFun, REAL_BAND, cauchy_transform, conj_reflect, inner_product,
-    l2_norm, poly_roots, pv_integral,
+    poly_roots, pv_integral,
 )
 from .hardy import riesz_split
 

@@ -9,13 +9,13 @@ Sokhotski-Plemelj convention
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ratfun import (
-    Poly, RatFun, REAL_BAND, conj_reflect, partial_fractions, pv_integral,
-    poly_roots, poly_from_roots,
+    Poly, RatFun, REAL_BAND, partial_fractions, pv_integral, poly_roots,
+    poly_from_roots,
 )
 
 __all__ = [

@@ -581,18 +581,23 @@ def partial_fractions(f):
                 f"ill-conditioned (condition ~ {1.0 / max(dmin, 1e-300):.1e})",
                 RuntimeWarning, stacklevel=2)
     terms = []
-    for z, m in f._den_roots:
-        # deflate the denominator by (x-z)^m
-        dc = den.coeffs.copy()
-        for _ in range(m):
-            dc = _deflate(dc, z)
+    roots = f._den_roots
+    for i, (z, m) in enumerate(roots):
         # Taylor series of num/den_reduced about z, to order m-1
         a = Poly(num.coeffs).shift(z)[:m] if num.degree + 1 >= 1 else np.zeros(m, complex)
         if a.size < m:
             a = np.pad(a, (0, m - a.size))
-        b = Poly(dc).shift(z)[:m]
-        if b.size < m:
-            b = np.pad(b, (0, m - b.size))
+        # den_reduced = lead * prod_{r != z} ((x-z) + (z-r))^mr, expanded about
+        # z from the roots: deflating the expanded denominator instead loses
+        # the relative accuracy of b[0] when other poles sit close to z
+        b = np.zeros(m, dtype=complex)
+        b[0] = den.coeffs[-1]
+        for j, (r, mr) in enumerate(roots):
+            if j == i:
+                continue
+            for _ in range(mr):
+                b[1:] = b[1:] * (z - r) + b[:-1]
+                b[0] *= z - r
         h = np.zeros(m, dtype=complex)     # series of num/den_reduced
         for i in range(m):
             acc = a[i] - sum(b[j] * h[i - j] for j in range(1, i + 1))
@@ -602,16 +607,6 @@ def partial_fractions(f):
             if c != 0:
                 terms.append((z, k, c))
     return terms, poly_part
-
-
-def _deflate(c, z):
-    """Synthetic division of ascending coeffs c by (x - z); drops the remainder."""
-    n = c.size
-    out = np.zeros(n - 1, dtype=complex)
-    out[n - 2] = c[n - 1]
-    for j in range(n - 2, 0, -1):
-        out[j - 1] = c[j] + z * out[j]
-    return out
 
 
 def residue(f, pole):

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ratfun import (Poly, RatFun, cauchy_transform, conj_reflect,
-                     inner_product, l2_norm, partial_fractions)
+from .ratfun import (Poly, RatFun, cauchy_transform, conj_reflect, l2_norm,
+                     partial_fractions)
 from .hardy import quad_gk
 from .friedrichs import (DomainElement, EigenvalueError, FriedrichsModel,
-                         apply_resolvent, solution_operator, tilde_model,
-                         traces)
-from .detect import _model_m, _neville_zero
+                         apply_resolvent, solution_operator, traces)
+from .detect import _neville_zero
 
 PI = np.pi
 
@@ -48,10 +47,6 @@ def _times_linear(f, lam):
     if f.is_zero:
         return RatFun.zero()
     return RatFun(f.num * Poly([-lam, 1.0]), f.den, den_roots=f._den_roots)
-
-
-def _as_fun(u):
-    return u.f if isinstance(u, DomainElement) else u
 
 
 def _c_normalized(u):

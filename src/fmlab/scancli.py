@@ -9,19 +9,19 @@ columns, UTF-8, LF line endings; JSON encodes every complex scalar as a
 two-element [re, im] list.
 """
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ratfun import Poly, RatFun, conj_reflect, poly_roots
+from .ratfun import Poly, RatFun, REAL_BAND
 from .hardy import PiecewiseFun
 from .friedrichs import (FriedrichsModel, apply_resolvent, m_function,
-                         tilde_model, verify_identity)
-from .detect import DefectReport, d_plus, defect_hardy_plus
+                         verify_identity)
+from .detect import (alpha_pencil, continuation_terms, defect_hardy_plus,
+                     pencil_defects, pencil_roots)
 from .recon import ResolventOracle, recover_from_restricted_resolvent
 
 PI = np.pi
@@ -126,6 +126,9 @@ class ScanGrid:
 
 
 def _alpha_of(plane, w, conv):
+    """alpha at the cell coordinate w, or None at the origin of a reciprocal plane."""
+    if plane in ("INV_ALPHA", "MU") and abs(w) < 1e-12:
+        return None
     if plane == "ALPHA":
         return w
     if plane == "INV_ALPHA":
@@ -138,9 +141,9 @@ def _alpha_of(plane, w, conv):
 
 
 def _cell_defect(phi, psi_unit, B, plane, w, conv):
-    if plane in ("INV_ALPHA", "MU") and abs(w) < 1e-12:
-        return -1, UNRESOLVED
     alpha = _alpha_of(plane, w, conv)
+    if alpha is None:
+        return -1, UNRESOLVED
     if abs(alpha) < 1e-14:
         return 0, OK       # psi degenerates to zero: everything detectable
     try:
@@ -152,13 +155,13 @@ def _cell_defect(phi, psi_unit, B, plane, w, conv):
     return rep.defect, OK
 
 
-def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0, threads=None):
+def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
     """Defect of the psi -> alpha psi family over a rectangle of a parameter plane.
 
     grid = (x0, x1, y0, y1, nx, ny); plane maps the cell coordinate w to alpha
     (ALPHA: w, INV_ALPHA: 1/w, MU: 1/(2 pi i w), MU_HAT: w*conv/(2 pi i)).
-    Cells are evaluated independently and written back by index, so the output
-    is identical for any thread count.
+    All cells are counted at once on the alpha pencil; the cells it leaves
+    open, or every cell of a model it refuses, go through defect_hardy_plus.
     """
     if plane not in PLANES:
         raise ValueError(f"plane must be one of {PLANES}")
@@ -169,19 +172,18 @@ def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0, threads=None):
     ws = [complex(x, y) for y in ys for x in xs]
     phi, psi_unit, B = model.phi, model.psi, model.B
     conv = complex(conv)
-
-    def work(w):
-        return _cell_defect(phi, psi_unit, B, plane, w, conv)
-
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(work, ws))
-    else:
-        results = [work(w) for w in ws]
-
-    defects = np.array([r[0] for r in results], dtype=int).reshape(ny, nx)
-    flags = np.array([r[1] for r in results], dtype=object).reshape(ny, nx)
-    return ScanGrid(plane, (x0, x1, y0, y1), nx, ny, defects, flags)
+    alphas = [_alpha_of(plane, w, conv) for w in ws]
+    live = [n for n, alpha in enumerate(alphas) if alpha is not None]
+    defects = np.full(len(ws), -1)
+    try:
+        defects[live] = pencil_defects(model, [alphas[n] for n in live])
+    except ValueError:
+        pass    # a model the pencil refuses: every cell goes through _cell_defect
+    flags = np.full(len(ws), OK, dtype=object)
+    for n in np.flatnonzero(defects < 0):
+        defects[n], flags[n] = _cell_defect(phi, psi_unit, B, plane, ws[n], conv)
+    return ScanGrid(plane, (x0, x1, y0, y1), nx, ny,
+                    defects.reshape(ny, nx), flags.reshape(ny, nx))
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +204,6 @@ class CurveTrace:
             for t, p in zip(self.ts, self.points):
                 p = complex(p)
                 fh.write(f"{float(t)!r},{p.real!r},{p.imag!r}\n")
-
-
-def _xi_data(model):
-    """(z_k, a_k) with a_k = c_k phibar(z_k) for simple-pole psi."""
-    phibar = conj_reflect(model.phi)
-    data = []
-    for p in model.psi.poles:
-        if p.order != 1:
-            raise ValueError("curve tracing needs simple psi poles")
-        from .ratfun import residue
-        c = residue(model.psi, p.location)
-        data.append((p.location, c * complex(phibar(p.location))))
-    return tuple(data)
 
 
 def _xi_eval(data, t):
@@ -269,32 +258,6 @@ def _segment_intersections(ts, pts):
     return tuple(merged)
 
 
-def _dplus_pencil(model):
-    """Coefficients (P, Q) with determinant numerator P + 2 pi i alpha Q.
-
-    P is the monic psi-pole polynomial and -Q/P the rational part xi, so the
-    continued determinant of the alpha-scaled family is (P + 2 pi i alpha Q)/P.
-    """
-    data = _xi_data(model)
-    zs = [z for z, _ in data]
-    P = np.array([1.0 + 0j])
-    for z in zs:
-        P = np.convolve(P, [-z, 1.0][::-1])
-    Q = np.zeros(len(zs), dtype=complex)
-    for k, (zk, ak) in enumerate(data):
-        cof = np.array([1.0 + 0j])
-        for z2 in zs[:k] + zs[k + 1:]:
-            cof = np.convolve(cof, [-z2, 1.0][::-1])
-        Q = Q + ak * cof
-    return P, Q
-
-
-def _pencil_roots(P, Q, alpha):
-    c = P.copy()
-    c[-len(Q):] += 2j * PI * alpha * Q if len(Q) else 0
-    return np.roots(c)
-
-
 def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
                           certify=True):
     """Trace the 1/alpha-plane curve along which the continued determinant
@@ -305,7 +268,7 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
     re-certified by checking that the determinant numerator at the matching
     alpha has a near-real root.
     """
-    data = _xi_data(model)
+    data = continuation_terms(model)
     ts = np.linspace(-halfwidth, halfwidth, n)
     for _ in range(refine):
         pts = 2j * PI * _xi_eval(data, ts)
@@ -329,14 +292,13 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
     branches.append((start, len(ts)))
 
     if certify:
-        P, Q = _dplus_pencil(model)
-        for i in range(len(ts)):
-            if abs(pts[i]) < 1e-9:
-                continue
-            roots = _pencil_roots(P, Q, 1.0 / pts[i])
-            if np.min(np.abs(roots.imag)) > 1e-8:
-                raise RuntimeError(f"curve point at t={ts[i]} failed "
-                                   f"real-root certification")
+        at = np.abs(pts) >= 1e-9        # the origin is alpha = infinity
+        roots = pencil_roots(alpha_pencil(model), 1.0 / pts[at])
+        failed = np.flatnonzero(
+            np.min(np.abs(roots.imag), axis=1, initial=np.inf) > REAL_BAND)
+        if failed.size:
+            raise RuntimeError(f"curve point at t={ts[at][failed[0]]} failed "
+                               f"real-root certification")
 
     inter = _segment_intersections(ts, pts)
     return CurveTrace(ts, pts, tuple(branches), inter, data)
@@ -440,12 +402,6 @@ def petal_figure_model(lams=FIG_LAMS, zs=FIG_ZS, a_last=FIG_A_LAST):
     return FriedrichsModel(phi, psi, 0.0), avals
 
 
-def _nu_minus(model, alpha, pencil=None):
-    """Number of lower-half-plane roots of the continued determinant."""
-    P, Q = _dplus_pencil(model) if pencil is None else pencil
-    return int(np.sum(_pencil_roots(P, Q, alpha).imag < -1e-8))
-
-
 def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
     """Defect map of the built-in four-pole petal curve in the 1/alpha plane.
 
@@ -454,15 +410,13 @@ def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
     curve-crossing checks.
     """
     model, avals = petal_figure_model()
-    n_poles = len(model.psi.poles)
-    pencil = _dplus_pencil(model)
     trace = trace_real_root_curve(model, halfwidth=80.0, n=3001)
     cmap = component_map(trace.points, nx=nx, ny=ny)
 
     # probe one interior cell per component (re-probing off the curve band)
     xs = np.linspace(cmap.bounds[0], cmap.bounds[1], cmap.nx)
     ys = np.linspace(cmap.bounds[2], cmap.bounds[3], cmap.ny)
-    comp_defect = {}
+    probes = {}
     counts = {}
     for lab in np.unique(cmap.labels):
         if lab < 0:
@@ -476,15 +430,16 @@ def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
             dist = np.min(np.abs(trace.points - w))
             if best is None or dist > best[0]:
                 best = (dist, w)
-        w = best[1]
-        comp_defect[int(lab)] = n_poles - _nu_minus(model, 1.0 / w, pencil)
+        probes[int(lab)] = best[1]
+    probe_defects = pencil_defects(model, 1.0 / np.array(list(probes.values())))
+    comp_defect = {lab: int(d) for lab, d in zip(probes, probe_defects)}
 
     # crossing samples: defect jumps by exactly 1 across the curve
     rng = np.random.default_rng(rng_seed)
-    crossings = []
+    sides = []
     pts, ts = trace.points, trace.ts
     tries = 0
-    while len(crossings) < n_crossings and tries < 20 * n_crossings:
+    while len(sides) < n_crossings and tries < 20 * n_crossings:
         tries += 1
         i = int(rng.integers(1, len(ts) - 2))
         tangent = pts[i + 1] - pts[i - 1]
@@ -495,9 +450,11 @@ def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
         wa, wb = pts[i] + eps * normal, pts[i] - eps * normal
         if np.min(np.abs(pts - wa)) < 0.5 * eps or np.min(np.abs(pts - wb)) < 0.5 * eps:
             continue   # too close to another curve strand: not a clean crossing
-        da = n_poles - _nu_minus(model, 1.0 / wa, pencil)
-        db = n_poles - _nu_minus(model, 1.0 / wb, pencil)
-        crossings.append((ts[i], da, db))
+        sides.append((ts[i], wa, wb))
+    ws = np.array([(wa, wb) for _, wa, wb in sides]).reshape(-1, 2)
+    side_defects = pencil_defects(model, 1.0 / ws.ravel()).reshape(-1, 2)
+    crossings = [(t, int(da), int(db))
+                 for (t, _, _), (da, db) in zip(sides, side_defects)]
 
     report = {
         "a_values": [_c_enc(a) for a in avals],
@@ -672,7 +629,6 @@ def build_parser():
     common(sp)
     sp.add_argument("--grid", type=_parse_grid, required=True)
     sp.add_argument("--plane", choices=PLANES, default="ALPHA")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("curve", help="trace the real-root curve")
     common(sp)
@@ -738,8 +694,7 @@ def main(argv=None):
 
     if verb == "scan":
         model = _load_model(args.model)
-        sg = scan_defect_grid(model, args.grid, plane=args.plane,
-                              threads=args.threads)
+        sg = scan_defect_grid(model, args.grid, plane=args.plane)
         sg.write_csv(args.out or "scan.csv")
         return 0 if not (sg.flags == UNRESOLVED).all() else 1
 

@@ -14,11 +14,12 @@ from fmlab.ratfun import (
 from fmlab.hardy import PiecewiseFun, quad_gk
 from fmlab.friedrichs import FriedrichsModel, tilde_model
 from fmlab.detect import (
-    PiecewiseModel, cauchy_kernel_model, d_plus, defect_hardy_plus,
-    disjoint_support_classify, jump_rank_check, mb_jump, sperp_basis,
-    sperp_residual, spectrum_T_membership, symbol_M_curve, toeplitz_defect,
-    toeplitz_sperp_basis,
+    PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
+    defect_hardy_plus, disjoint_support_classify, jump_rank_check, mb_jump,
+    pencil_roots, sperp_basis, sperp_residual, spectrum_T_membership,
+    symbol_M_curve, toeplitz_defect, toeplitz_sperp_basis,
 )
+from fmlab.scancli import petal_figure_model
 
 PI = np.pi
 
@@ -162,6 +163,22 @@ def test_petal_double_defect_outside_zero():
         alpha = 1.0 / (2j * PI * mu)
         psi = pole_sum([ZP1, ZP2], [-alpha, 3 * alpha])
         assert defect_hardy_plus(FriedrichsModel(PHI_PETAL, psi, 0.0)).defect == 0
+
+
+@pytest.mark.parametrize("model", [
+    FriedrichsModel(PHI_PETAL, pole_sum([ZP1, ZP2], [-2.0, 3.0]), 0.0),
+    petal_figure_model()[0],
+], ids=["two-pole", "four-pole"])
+@pytest.mark.parametrize("alpha", [1.0, 0.4 - 0.9j])
+def test_pencil_roots_are_d_plus_zeros(model, alpha):
+    # the batched kernel (ascending companion coefficients) against the
+    # Aberth zeros of the RatFun continuation of the scaled model
+    roots = pencil_roots(alpha_pencil(model), [alpha])[0]
+    scaled = FriedrichsModel(model.phi, model.psi * alpha, model.B)
+    want = [z for z, m in poly_roots(d_plus(scaled).num) for _ in range(m)]
+    assert len(roots) == len(want) == len(model.psi.poles)
+    for z in want:
+        assert np.min(np.abs(roots - z)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ import os
 import numpy as np
 import pytest
 
-from fmlab.ratfun import Poly, RatFun, poly_from_roots
+from fmlab.ratfun import REAL_BAND, Poly, RatFun, poly_from_roots
 from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
+from fmlab.detect import (alpha_pencil, continuation_terms, defect_hardy_plus,
+                          pencil_roots)
 from fmlab.scancli import (
-    ComponentMap, CurveTrace, ScanGrid, _dplus_pencil, _nu_minus,
-    _pencil_roots, _xi_data, _xi_eval, component_map, figure2_pipeline,
-    main, model_from_json, model_to_json, petal_figure_model,
-    piecewise_from_json, piecewise_to_json, rat_from_json, rat_to_json,
-    run_verify_suite, scan_defect_grid, trace_real_root_curve,
+    ComponentMap, CurveTrace, ScanGrid, _cell_defect, _xi_eval,
+    component_map, figure2_pipeline, main, model_from_json, model_to_json,
+    petal_figure_model, piecewise_from_json, piecewise_to_json,
+    rat_from_json, rat_to_json, run_verify_suite, scan_defect_grid,
+    trace_real_root_curve,
 )
 
 PI = np.pi
@@ -130,14 +132,79 @@ def test_scan_csv_format(tmp_path):
     assert flag in ("OK", "UNRESOLVED")
 
 
-def test_scan_thread_count_does_not_change_output(tmp_path):
+def test_scan_repeated_run_gives_same_bytes(tmp_path):
     model = petal_scan_model()
-    p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     scan_defect_grid(model, (-2, 2, -2, 2, 9, 9), plane="MU_HAT",
-                     conv=-6.0, threads=1).write_csv(p1)
+                     conv=-6.0).write_csv(p1)
     scan_defect_grid(model, (-2, 2, -2, 2, 9, 9), plane="MU_HAT",
-                     conv=-6.0, threads=4).write_csv(p4)
-    assert p1.read_bytes() == p4.read_bytes()
+                     conv=-6.0).write_csv(p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def m0_model(shift=0.0):
+    # phibar = (x + 2i - shift)/((x - i)(x - 3i)) vanishes at the psi pole
+    # -2i, or for a small shift nearly so: a root then hugs that pole
+    phi = RatFun(Poly([-2j - shift, 1.0]), poly_from_roots([-1j, -3j]))
+    return FriedrichsModel(phi, RatFun.simple_pole(-2j) + RatFun.simple_pole(-1j), 0.0)
+
+
+def phibar_zero_model():
+    # phibar = (x - zeta)/((x - i)(x - 2i)) has the lower zero zeta, and at
+    # alpha = ALPHA_AT_ZERO the one continuation root sits on it
+    zeta, z1 = -0.5 - 0.7j, -1 - 1j
+    phi = RatFun(Poly([-np.conj(zeta), 1.0]), poly_from_roots([-1j, -2j]))
+    model = FriedrichsModel(phi, RatFun.simple_pole(z1), 0.0)
+    phibar_z1 = (z1 - zeta) / ((z1 - 1j) * (z1 - 2j))
+    return model, -(zeta - z1) / (2j * PI * phibar_z1)
+
+
+PHIBAR_ZERO_MODEL, ALPHA_AT_ZERO = phibar_zero_model()
+
+
+def upper_phi_model():
+    psi = RatFun.simple_pole(-1j, -2.0) + RatFun.simple_pole(-2j, 3.0)
+    return FriedrichsModel(RatFun.simple_pole(1j), psi, 0.0)
+
+
+@pytest.mark.parametrize("model, grid, plane, conv", [
+    (petal_scan_model(), (-1, 1, -1, 1, 41, 41), "MU", 1.0),
+    # |alpha| ~ 1e11: ratfun's trim drops the top coefficient per cell
+    (petal_scan_model(), (-1e-11, 1e-11, -1e-11, 1e-11, 5, 5), "INV_ALPHA", 1.0),
+    (petal_scan_model(), (-2, 2, -2, 2, 21, 21), "ALPHA", 1.0),
+    (one_pole_model(1.0), (0, 0, 0, 2 / PI, 1, 3), "ALPHA", 1.0),
+    # a small phibar keeps the root within the clustering radius of the pole
+    (FriedrichsModel(RatFun.simple_pole(-1j, 1e-3), RatFun.simple_pole(-1j), 0.0),
+     (2e-7, 2e-7, 0, 0, 1, 1), "ALPHA", 1.0),
+    (PHIBAR_ZERO_MODEL, (ALPHA_AT_ZERO.real, ALPHA_AT_ZERO.real,
+                         ALPHA_AT_ZERO.imag, ALPHA_AT_ZERO.imag, 1, 1), "ALPHA", 1.0),
+    (m0_model(), (-2, 2, -2, 2, 15, 15), "ALPHA", 1.0),
+    (m0_model(1e-8), (-2, 2, -2, 2, 15, 15), "ALPHA", 1.0),
+    (upper_phi_model(), (-2, 2, -2, 2, 9, 9), "MU_HAT", -6.0),
+], ids=["mu-origin", "inv-alpha-near-origin", "alpha-origin", "real-root",
+        "root-at-data-pole", "root-at-phibar-zero", "m0", "near-m0", "upper-phi"])
+def test_scan_matches_per_cell_defects(model, grid, plane, conv):
+    # the batched count and its fall-backs agree with the per-cell route
+    sg = scan_defect_grid(model, grid, plane=plane, conv=conv)
+    xs, ys = sg.cell_centers()
+    want = [_cell_defect(model.phi, model.psi, model.B, plane, complex(x, y),
+                         complex(conv)) for y in ys for x in xs]
+    got = list(zip(sg.defects.ravel().tolist(), sg.flags.ravel().tolist()))
+    assert got == want
+
+
+def test_scan_falls_back_on_the_hard_cells():
+    sg = scan_defect_grid(one_pole_model(1.0), (0, 0, 0, 2 / PI, 1, 3),
+                          plane="ALPHA")
+    # alpha = 0 is trivially detectable; alpha = i/pi puts the root on the axis
+    assert sg.defects[:, 0].tolist() == [0, -1, 1]
+    assert sg.flags[1, 0] == "UNRESOLVED"
+    assert defect_hardy_plus(m0_model()).M0 == 1
+    sg = scan_defect_grid(m0_model(), (1, 1, 0, 0, 1, 1), plane="ALPHA")
+    assert sg.flags[0, 0] == "OK" and sg.defects[0, 0] == 0
+    sg = scan_defect_grid(upper_phi_model(), (-2, 2, -2, 2, 4, 4),
+                          plane="MU_HAT", conv=-6.0)
+    assert (sg.flags == "UNRESOLVED").all()
 
 
 def test_scan_rejects_unknown_plane():
@@ -151,7 +218,7 @@ def test_scan_rejects_unknown_plane():
 
 def test_petal_model_zeros_of_xi():
     model, avals = petal_figure_model()
-    data = _xi_data(model)
+    data = continuation_terms(model)
     # residues recovered from the model match the linear-system solution
     assert np.max(np.abs(np.array([a for _, a in data]) - avals)) < 1e-12
     for lam in (0.0, 1.0, -2.0):
@@ -161,19 +228,16 @@ def test_petal_model_zeros_of_xi():
 def test_trace_points_are_curve_samples():
     model, _ = petal_figure_model()
     trace = trace_real_root_curve(model, halfwidth=40, n=801)
-    data = _xi_data(model)
+    data = continuation_terms(model)
     assert np.max(np.abs(trace.points - 2j * PI * _xi_eval(data, trace.ts))) < 1e-12
 
 
 def test_trace_points_certify_as_real_roots():
     model, _ = petal_figure_model()
     trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
-    P, Q = _dplus_pencil(model)
-    for p in trace.points[::37]:
-        if abs(p) < 1e-9:
-            continue
-        roots = _pencil_roots(P, Q, 1.0 / p)
-        assert np.min(np.abs(roots.imag)) < 1e-8
+    pts = trace.points[::37]
+    roots = pencil_roots(alpha_pencil(model), 1.0 / pts[np.abs(pts) >= 1e-9])
+    assert np.all(np.min(np.abs(roots.imag), axis=1) < REAL_BAND)
 
 
 def test_trace_one_pole_is_one_clean_loop():
@@ -248,9 +312,13 @@ def test_figure_component_defects(figure_run):
 def test_figure_defect_is_pole_count_minus_lower_roots(figure_run):
     report, trace, cmap = figure_run
     model, _ = petal_figure_model()
-    pencil = _dplus_pencil(model)
+    pencil = alpha_pencil(model)
+
+    def nu_minus(alpha):
+        return int(np.sum(pencil_roots(pencil, [alpha]).imag < -REAL_BAND))
+
     # tiny alpha: all four determinant roots stay at the psi poles below the axis
-    assert _nu_minus(model, 1e-4, pencil) == 4
+    assert nu_minus(1e-4) == 4
     rng = np.random.default_rng(11)
     for _ in range(25):
         w = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))
@@ -259,7 +327,7 @@ def test_figure_defect_is_pole_count_minus_lower_roots(figure_run):
         lab = cmap.label_at(w)
         if lab < 0:
             continue
-        d = 4 - _nu_minus(model, 1.0 / w, pencil)
+        d = 4 - nu_minus(1.0 / w)
         assert report["components"][str(lab)]["defect"] == d
 
 

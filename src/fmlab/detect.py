@@ -32,7 +32,7 @@ from .ratfun import (
 )
 from .hardy import (
     QuadratureError, boundary_value, cauchy_transform_num,
-    factorize_rational, quad_gk, quad_real_line, riesz_split,
+    factorize_rational, piecewise_product, quad_gk, quad_real_line, riesz_split,
 )
 from .friedrichs import FriedrichsModel
 
@@ -160,11 +160,8 @@ def _d_at(phi, psi, lam):
     if isinstance(phi, RatFun) and isinstance(psi, RatFun):
         return 1.0 + cauchy_transform(psi * phibar, lam)
     if not isinstance(psi, RatFun) and not isinstance(phi, RatFun):
-        # disjoint piecewise supports make the product vanish identically
-        sup_psi = psi.support
-        sup_phi = phi.support
-        if all(b1 <= a2 or b2 <= a1 for a1, b1 in sup_psi for a2, b2 in sup_phi):
-            return 1.0 + 0j
+        # disjoint supports give a product without pieces: exactly D = 1
+        return 1.0 + cauchy_transform_num(piecewise_product(psi, phibar), lam)
     return 1.0 + _hat_product(psi, phibar, lam)
 
 
@@ -649,6 +646,8 @@ def mb_jump(model, k, tol=1e-8):
         fh = boundary_value(phibar, k, side)
         if isinstance(phi, RatFun) and isinstance(psi, RatFun):
             D = 1.0 + boundary_value(psi * phibar, k, side)
+        elif not isinstance(phi, RatFun) and not isinstance(psi, RatFun):
+            D = 1.0 + boundary_value(piecewise_product(psi, phibar), k, side)
         else:
             D = _d_at(phi, psi, complex(k, 1e-300 if side == "+" else -1e-300))
         if abs(D) < 1e-12:
@@ -879,10 +878,7 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
 
 
 def _pp_product(psi, phibar, k):
-    """P_plus(psi phibar)(k) for piecewise factors with disjoint supports."""
-    if not isinstance(psi, RatFun) and not isinstance(phibar, RatFun):
-        disjoint = all(b1 <= a2 or b2 <= a1
-                       for a1, b1 in psi.support for a2, b2 in phibar.support)
-        if disjoint:
-            return 0j
-    raise ValueError("overlapping piecewise supports are unsupported here")
+    """P_plus(psi phibar)(k) for two piecewise factors."""
+    if isinstance(psi, RatFun) or isinstance(phibar, RatFun):
+        raise ValueError("mixed rational and piecewise data are unsupported here")
+    return boundary_value(piecewise_product(psi, phibar), k, "+") / (2j * PI)

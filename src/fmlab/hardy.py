@@ -21,7 +21,7 @@ from .ratfun import (
 __all__ = [
     "PiecewiseFun", "BlaschkeProduct", "Factorization", "QuadratureError",
     "riesz_split", "boundary_value", "cauchy_transform_num", "blaschke_build",
-    "factorize_rational", "quad_gk", "quad_real_line",
+    "factorize_rational", "piecewise_product", "quad_gk", "quad_real_line",
 ]
 
 
@@ -49,45 +49,64 @@ _WG = np.array([
 ])
 
 _NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[-2::-1]])
-_WK = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
-# Gauss-7 lives on Kronrod nodes 1,3,5,7 (0-based) of the positive half
-_WG_FULL = np.zeros(15)
+# rows: Kronrod-15 weights; Gauss-7 weights, which live on Kronrod nodes
+# 1, 3, 5, 7 (0-based) of the positive half
+_WEIGHTS = np.zeros((2, 15))
+_WEIGHTS[0] = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
 for _i, _w in zip((1, 3, 5), _WG[:3]):
-    _WG_FULL[_i] = _w
-    _WG_FULL[14 - _i] = _w
-_WG_FULL[7] = _WG[3]
+    _WEIGHTS[1, _i] = _w
+    _WEIGHTS[1, 14 - _i] = _w
+_WEIGHTS[1, 7] = _WG[3]
 
-
-def _panel(f, a, b):
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _NODES
-    y = np.asarray(f(x), dtype=complex)
-    k15 = h * np.sum(_WK * y)
-    g7 = h * np.sum(_WG_FULL * y)
-    return k15, abs(k15 - g7)
+_CHUNK = 64   # panels per integrand call: 960 points, bounded memory per level
 
 
 def quad_gk(f, a, b, tol=1e-9, budget=10 ** 4):
-    """Adaptive Gauss-Kronrod integral of a vectorized callable over [a, b]."""
-    stack = [(float(a), float(b), tol)]
-    total = 0j
+    """Adaptive Gauss-Kronrod integral of a vectorized callable over [a, b].
+
+    Breadth-first bisection (Shampine's vectorized quadgk design): all active
+    panels of one refinement level are evaluated together, at most ``_CHUNK``
+    panels (15 nodes each) per call of ``f`` on a flat 1-D array.  A panel
+    with tolerance t is accepted when its Kronrod-Gauss difference is at most
+    t or it is narrower than 1e-14 (1 + |lo|); otherwise both halves get t/2.
+    Accepted panels are summed one by one in order of decreasing left
+    endpoint, the order of a depth-first right-first traversal, so the result
+    does not depend on the chunking.  Raises QuadratureError when the
+    refinement tree would hold more than ``budget`` panels.
+    """
+    lo = np.array([float(a)])
+    hi = np.array([float(b)])
+    t = np.array([float(tol)])
     used = 0
-    worst = 0.0
-    while stack:
-        lo, hi, t = stack.pop()
-        used += 1
+    accepted = []                 # (lo, value, error) of the accepted panels
+    while True:
+        used += lo.size
         if used > budget:
+            worst = max((float(e.max()) for _, _, e in accepted if e.size), default=0.0)
             raise QuadratureError(
                 f"panel budget exhausted; worst panel error estimate {worst:.2e}")
-        val, err = _panel(f, lo, hi)
-        if err <= t or hi - lo < 1e-14 * (1 + abs(lo)):
-            total += val
-            worst = max(worst, err)
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * t))
-            stack.append((mid, hi, 0.5 * t))
-    return total
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        h = 0.5 * width
+        kg = np.empty((lo.size, 2), dtype=complex)    # Kronrod, Gauss sums
+        for s in range(0, lo.size, _CHUNK):
+            x = mid[s:s + _CHUNK, None] + h[s:s + _CHUNK, None] * _NODES
+            y = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+            kg[s:s + _CHUNK] = np.add.reduce(y[:, None, :] * _WEIGHTS, axis=2)
+        kg *= h[:, None]
+        err = np.abs(kg[:, 0] - kg[:, 1])
+        done = err <= t
+        if not done.all():
+            done |= width < 1e-14 * (1 + np.abs(lo))
+        if done.all():
+            accepted.append((lo, kg[:, 0], err))
+            break
+        accepted.append((lo[done], kg[done, 0], err[done]))
+        split = ~done
+        lo, mid, hi, t = lo[split], mid[split], hi[split], 0.5 * t[split]
+        lo, hi, t = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([t, t])
+    lo, vals, _ = (np.concatenate(c) for c in zip(*accepted))
+    return np.cumsum(np.concatenate([[0j], vals[np.argsort(-lo, kind="stable")]]))[-1]
 
 
 def quad_real_line(f, core_halfwidth=50.0, tol=1e-9):
@@ -177,6 +196,33 @@ class PiecewiseFun:
         a, b = on_interval
         return PiecewiseFun((Piece(float(a), float(b), "reciprocal-cauchy-of",
                                    (float(src_interval[0]), float(src_interval[1]))),))
+
+
+def piecewise_product(f, g):
+    """Pointwise product of two piecewise functions, one piece per overlap.
+
+    On the intersection of two pieces' intervals an indicator times an
+    indicator is an indicator, and a rational restriction times either is a
+    rational restriction.  Disjoint supports give a product with no pieces.
+    """
+    pieces = []
+    for p in f.pieces:
+        for q in g.pieces:
+            a, b = max(p.a, q.a), min(p.b, q.b)
+            if b <= a:
+                continue
+            if "reciprocal-cauchy-of" in (p.kind, q.kind):
+                raise ValueError(
+                    "overlap with a reciprocal-cauchy-of piece: the product is no "
+                    "indicator or rational restriction, so its boundary value "
+                    "has no closed-form singular part")
+            rats = [r.payload for r in (p, q) if r.kind == "rational-restriction"]
+            if not rats:
+                pieces.append(Piece(a, b, "indicator"))
+            else:
+                prod = rats[0] if len(rats) == 1 else rats[0] * rats[1]
+                pieces.append(Piece(a, b, "rational-restriction", prod))
+    return PiecewiseFun(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from fmlab.ratfun import (
     Poly, RatFun, poly_from_roots, poly_roots, conj_reflect, inner_product,
     l2_norm,
 )
-from fmlab.hardy import PiecewiseFun, quad_gk
+from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
 from fmlab.friedrichs import FriedrichsModel, tilde_model
 from fmlab.detect import (
-    PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
+    _d_at, PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
     defect_hardy_plus, disjoint_support_classify, jump_rank_check, mb_jump,
     pencil_roots, sperp_basis, sperp_residual, spectrum_T_membership,
     symbol_M_curve, toeplitz_defect, toeplitz_sperp_basis,
@@ -349,9 +349,12 @@ def test_minv_jump_table():
         jr = mb_jump(MOD_PW, k)
         assert jr.jump_Minv == pytest.approx(2j * PI, abs=1e-8)
         assert jr.rank == 1
+    mp = pytest.importorskip("mpmath")
     k = 0.5
     jr = mb_jump(MOD_PW, k)
-    psihat = quad_gk(lambda t: PSI_PW(t) / (t - k), *IV2)
+    # independent oracle: psi = 1/log((1-t)/(0-t)) on IV2, integrated by mpmath
+    psihat = complex(mp.quad(
+        lambda t: 1 / (mp.log((IV[1] - t) / (IV[0] - t)) * (t - k)), IV2))
     assert jr.jump_Minv == pytest.approx(2j * PI * (1 - psihat), abs=1e-8)
     for k in (2.2, 2.5, 2.8):
         jr = mb_jump(MOD_PW, k)
@@ -390,6 +393,55 @@ def test_jump_rank_zero_family():
     rc = jump_rank_check(MOD_PW, 0.5, fs=[0.0], ws=[1.0],
                          mus=[1j], mu_ts=[1.5j])
     assert rc.rank_resolvent == 0 and rc.rank_M == 0 and rc.equal
+
+
+# overlapping supports: phi = 1[-1,1], psi = 1[0,2], so psi phibar = 1[0,1]
+PHI_OV = PiecewiseFun.indicator(-1.0, 1.0)
+PSI_OV = PiecewiseFun.indicator(0.0, 2.0)
+MOD_OV = PiecewiseModel(PHI_OV, PSI_OV, 0.0)
+
+
+def overlap_closed_form(k, s):
+    """D, psihat, phibarhat at k + s i0 for MOD_OV, k in (0, 1)."""
+    return (1 + np.log((1 - k) / k) + s * 1j * PI,
+            np.log((2 - k) / k) + s * 1j * PI,
+            np.log((1 - k) / (1 + k)) + s * 1j * PI)
+
+
+def test_overlap_mb_jump_closed_form():
+    prod = piecewise_product(PSI_OV, PHI_OV)
+    for k in (0.25, 0.75):
+        minv = {}
+        for s, side in ((1, "+"), (-1, "-")):
+            D, ph, fh = overlap_closed_form(k, s)
+            assert abs(1 + boundary_value(prod, k, side) - D) < 1e-10
+            assert abs(boundary_value(PSI_OV, k, side) - ph) < 1e-10
+            assert abs(boundary_value(PHI_OV, k, side) - fh) < 1e-10
+            minv[s] = s * 1j * PI - ph * fh / D
+        jr = mb_jump(MOD_OV, k)
+        assert abs(jr.jump_Minv - (minv[1] - minv[-1])) < 1e-10
+        assert jr.rank == 1
+
+
+def test_overlap_determinant_off_axis():
+    for lam in (0.25 + 1e-4j, 0.75 - 0.3j, -2 + 1j):
+        want = 1 + np.log((1 - lam) / (0 - lam))
+        assert abs(_d_at(PHI_OV, PSI_OV, lam) - want) < 1e-9
+
+
+def test_overlap_jump_rank_check():
+    for k in (0.25, 0.75):
+        rc = jump_rank_check(MOD_OV, k, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[1.5j])
+        assert rc.resolved and rc.equal
+        assert (rc.rank_resolvent, rc.rank_M) == (1, 1)
+
+
+def test_overlap_with_reciprocal_cauchy_refused():
+    mod = PiecewiseModel(PiecewiseFun.indicator(2.5, 4.0), PSI_PW, 0.0)
+    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+        mb_jump(mod, 2.7)
+    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+        jump_rank_check(mod, 2.7, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[1.5j])
 
 
 # ---------------------------------------------------------------------------

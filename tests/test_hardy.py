@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from fmlab.ratfun import Poly, RatFun, poly_from_roots, poly_roots, conj_reflect
 from fmlab.hardy import (
-    PiecewiseFun, blaschke_build, boundary_value, cauchy_transform_num,
-    factorize_rational, quad_gk, quad_real_line, riesz_split,
+    _CHUNK, _NODES, _WEIGHTS, PiecewiseFun, QuadratureError, blaschke_build,
+    boundary_value, cauchy_transform_num, factorize_rational, piecewise_product,
+    quad_gk, quad_real_line, riesz_split,
 )
 
 PI = np.pi
@@ -37,6 +38,113 @@ def test_quad_real_line_symmetric_limit():
     # decay-1 integrand: symmetric limit of int 1/(t-i) = pi*i
     f = RatFun.simple_pole(1j)
     assert quad_real_line(lambda t: f(t)) == pytest.approx(PI * 1j, abs=1e-8)
+
+
+def reference_quad_gk(f, a, b, tol=1e-9, budget=10 ** 4, stats=None):
+    """One-panel-at-a-time depth-first version of quad_gk: the oracle for the
+    batched kernel.  ``stats`` counts panels and tiny-width stops."""
+    stats = {} if stats is None else stats
+    stats.update(panels=0, tiny=0)
+    stack = [(float(a), float(b), tol)]
+    total = 0j
+    while stack:
+        lo, hi, t = stack.pop()
+        stats["panels"] += 1
+        if stats["panels"] > budget:
+            raise QuadratureError("panel budget exhausted")
+        h = 0.5 * (hi - lo)
+        x = 0.5 * (lo + hi) + h * _NODES
+        y = np.asarray(f(x), dtype=complex)
+        k15 = h * np.sum(_WEIGHTS[0] * y)
+        err = abs(k15 - h * np.sum(_WEIGHTS[1] * y))
+        if err <= t or hi - lo < 1e-14 * (1 + abs(lo)):
+            stats["tiny"] += err > t
+            total += k15
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, 0.5 * t))
+            stack.append((mid, hi, 0.5 * t))
+    return total
+
+
+def counting(f, sizes):
+    def g(x):
+        sizes.append(x.size)
+        return f(x)
+    return g
+
+
+def same_bits(u, v):
+    return np.array([u]).view(np.uint64).tolist() == np.array([v]).view(np.uint64).tolist()
+
+
+def smooth(t):
+    return np.exp(-t * t) * np.cos(3 * t) + 1j * np.sin(t)
+
+
+def pole(lam):
+    return lambda t: 1.0 / (t - lam)
+
+
+def test_quad_gk_bitwise_smooth():
+    for a, b, tol in ((-12, 12, 1e-9), (0, 1, 1e-13), (-3, 0.5, 1e-6)):
+        assert same_bits(quad_gk(smooth, a, b, tol=tol),
+                         reference_quad_gk(smooth, a, b, tol=tol))
+    # the running total starts from 0j, which turns a -0.0 panel sum into +0.0
+    assert same_bits(quad_gk(np.zeros_like, 1, 0), reference_quad_gk(np.zeros_like, 1, 0))
+
+
+def test_quad_gk_bitwise_near_singular():
+    rng = np.random.default_rng(11)
+    most = 0
+    for _ in range(25):
+        f = pole(complex(rng.uniform(-1, 2), rng.choice([-1, 1]) * 10 ** rng.uniform(-5, 0)))
+        stats = {}
+        want = reference_quad_gk(f, -1, 2, stats=stats)
+        assert same_bits(quad_gk(f, -1, 2), want)
+        most = max(most, stats["panels"])
+    assert most > 300
+
+
+def test_quad_gk_bitwise_indicator_jump():
+    # a jump at an irrational point is never resolved: refinement stops on
+    # the tiny-width rule
+    c = np.sqrt(2) - 1
+
+    def f(t):
+        return (t >= c) * np.exp(t)
+
+    stats = {}
+    want = reference_quad_gk(f, 0, 1, stats=stats)
+    assert stats["tiny"] >= 1
+    assert same_bits(quad_gk(f, 0, 1), want)
+    assert quad_gk(f, 0, 1) == pytest.approx(np.e - np.exp(c), abs=1e-12)
+
+
+def test_quad_gk_budget_matches_reference():
+    f = pole(0.3 + 1e-5j)
+    stats = {}
+    reference_quad_gk(f, 0, 1, stats=stats)
+    n = stats["panels"]
+    assert same_bits(quad_gk(f, 0, 1, budget=n), reference_quad_gk(f, 0, 1, budget=n))
+    for budget in (n - 1, n // 2, 1):
+        with pytest.raises(QuadratureError):
+            reference_quad_gk(f, 0, 1, budget=budget)
+        with pytest.raises(QuadratureError, match="worst panel error estimate"):
+            quad_gk(f, 0, 1, budget=budget)
+
+
+def test_quad_gk_calls_are_chunked_and_few():
+    def f(t):
+        return np.sin(40 * t) * np.exp(-0.1 * t)
+
+    stats = {}
+    want = reference_quad_gk(f, 0, 100, tol=1e-12, stats=stats)
+    sizes = []
+    assert same_bits(quad_gk(counting(f, sizes), 0, 100, tol=1e-12), want)
+    assert max(sizes) == _CHUNK * len(_NODES)            # some level was split up
+    assert sum(sizes) == stats["panels"] * len(_NODES)   # every panel once
+    assert len(sizes) * 20 < stats["panels"]
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +215,24 @@ def test_indicator_cauchy_transform_closed_form():
     for lam in (0.3 + 0.7j, -2.0 - 1.3j):
         assert cauchy_transform_num(chi, lam) == pytest.approx(
             np.log((1 - lam) / (0 - lam)), abs=1e-9)
+
+
+def test_piecewise_product_pieces():
+    ind = PiecewiseFun.indicator(0.0, 2.0)
+    r = RatFun.simple_pole(1j)
+    prod = piecewise_product(ind, PiecewiseFun.indicator(1.0, 3.0))
+    assert [(p.a, p.b, p.kind) for p in prod.pieces] == [(1.0, 2.0, "indicator")]
+    prod = piecewise_product(PiecewiseFun.restriction(r, -1.0, 1.5), ind)
+    assert [(p.a, p.b, p.kind) for p in prod.pieces] == [(0.0, 1.5, "rational-restriction")]
+    assert prod(0.7) == pytest.approx(r(0.7)) and prod(1.7) == 0
+    prod = piecewise_product(PiecewiseFun.restriction(r, -1.0, 1.5),
+                             PiecewiseFun.restriction(r, 1.0, 4.0))
+    assert prod(1.2) == pytest.approx(r(1.2) ** 2) and prod(0.5) == 0
+    assert piecewise_product(ind, PiecewiseFun.indicator(2.0, 3.0)).pieces == ()
+    recip = PiecewiseFun.reciprocal_cauchy((5.0, 6.0), (1.0, 3.0))
+    assert piecewise_product(recip, PiecewiseFun.indicator(3.0, 4.0)).pieces == ()
+    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+        piecewise_product(ind, recip)
 
 
 def test_piecewise_plemelj():

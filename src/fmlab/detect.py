@@ -160,8 +160,13 @@ def _d_at(phi, psi, lam):
     if isinstance(phi, RatFun) and isinstance(psi, RatFun):
         return 1.0 + cauchy_transform(psi * phibar, lam)
     if not isinstance(psi, RatFun) and not isinstance(phi, RatFun):
-        # disjoint supports give a product without pieces: exactly D = 1
-        return 1.0 + cauchy_transform_num(piecewise_product(psi, phibar), lam)
+        try:
+            prod = piecewise_product(psi, phibar)
+        except ValueError:
+            pass    # no piece kind for this overlap: integrate the two factors
+        else:
+            # disjoint supports give a product without pieces: exactly D = 1
+            return 1.0 + cauchy_transform_num(prod, lam)
     return 1.0 + _hat_product(psi, phibar, lam)
 
 
@@ -417,7 +422,8 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
     Vanishing (below ~1e-8) certifies g orthogonal to every solution-operator
     range, i.e. g in S-perp.  The pairing divided by M_B(mu) is B-independent,
     so the default drops the M factor; passing Bs multiplies it back in for
-    each B in the list (same pass/fail by construction).
+    each B in the list (same pass/fail by construction).  Raises ValueError
+    when no probe gives a pairing, rather than certifying nothing as zero.
     """
     phi, psi = model.phi, model.psi
     phibar = _phibar_of(phi)
@@ -426,6 +432,7 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
     if gnorm == 0:
         raise ValueError("zero candidate")
     worst = 0.0
+    probed = 0
     for mu in mus:
         try:
             D = _d_at(phi, psi, mu)
@@ -434,6 +441,7 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
             F = _hat(gbar, mu) - (_hat(phibar, mu) / D) * _hat_product(psi, gbar, mu)
         except ValueError:
             continue    # probe collided with a pole; plenty of grid remains
+        probed += 1
         scale = np.sqrt(abs(mu.imag) / PI) / gnorm
         if Bs is None:
             worst = max(worst, abs(F) * scale)
@@ -445,6 +453,8 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
                 if abs(bracket) < 1e-10:
                     continue
                 worst = max(worst, abs(F / bracket) * scale)
+    if not probed:
+        raise ValueError("no probe point gave a pairing; nothing is certified")
     return worst
 
 
@@ -869,16 +879,13 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
         script = pb_plus * psi - pr_plus
         vals = script(ks)
     else:
+        if isinstance(phi, RatFun) or isinstance(psi, RatFun):
+            raise ValueError("mixed rational and piecewise data are unsupported here")
+        prod = piecewise_product(psi, phibar)
+
         def pplus(f, k):
             return boundary_value(f, k, "+") / (2j * PI)
         vals = np.array([
-            pplus(phibar, k) * complex(psi(k)) - _pp_product(psi, phibar, k)
-            for k in ks])
+            pplus(phibar, k) * complex(psi(k)) - pplus(prod, k) for k in ks])
     return SymbolCurve(ks, 2j * PI * vals)
 
-
-def _pp_product(psi, phibar, k):
-    """P_plus(psi phibar)(k) for two piecewise factors."""
-    if isinstance(psi, RatFun) or isinstance(phibar, RatFun):
-        raise ValueError("mixed rational and piecewise data are unsupported here")
-    return boundary_value(piecewise_product(psi, phibar), k, "+") / (2j * PI)

@@ -95,14 +95,11 @@ def quad_gk(f, a, b, tol=1e-9, budget=10 ** 4):
             kg[s:s + _CHUNK] = np.add.reduce(y[:, None, :] * _WEIGHTS, axis=2)
         kg *= h[:, None]
         err = np.abs(kg[:, 0] - kg[:, 1])
-        done = err <= t
-        if not done.all():
-            done |= width < 1e-14 * (1 + np.abs(lo))
-        if done.all():
-            accepted.append((lo, kg[:, 0], err))
-            break
+        done = (err <= t) | (width < 1e-14 * (1 + np.abs(lo)))
         accepted.append((lo[done], kg[done, 0], err[done]))
         split = ~done
+        if not split.any():
+            break
         lo, mid, hi, t = lo[split], mid[split], hi[split], 0.5 * t[split]
         lo, hi, t = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.concatenate([t, t])
     lo, vals, _ = (np.concatenate(c) for c in zip(*accepted))
@@ -201,9 +198,12 @@ class PiecewiseFun:
 def piecewise_product(f, g):
     """Pointwise product of two piecewise functions, one piece per overlap.
 
-    On the intersection of two pieces' intervals an indicator times an
-    indicator is an indicator, and a rational restriction times either is a
-    rational restriction.  Disjoint supports give a product with no pieces.
+    On the intersection of two pieces' intervals an indicator times any piece
+    is that piece restricted to the intersection, and a rational restriction
+    times a rational restriction is a rational restriction.  Disjoint supports
+    give a product with no pieces.  A reciprocal-cauchy-of piece times a
+    rational restriction or another reciprocal-cauchy-of piece is none of the
+    piece kinds, so that overlap raises ValueError.
     """
     pieces = []
     for p in f.pieces:
@@ -211,17 +211,16 @@ def piecewise_product(f, g):
             a, b = max(p.a, q.a), min(p.b, q.b)
             if b <= a:
                 continue
-            if "reciprocal-cauchy-of" in (p.kind, q.kind):
-                raise ValueError(
-                    "overlap with a reciprocal-cauchy-of piece: the product is no "
-                    "indicator or rational restriction, so its boundary value "
-                    "has no closed-form singular part")
-            rats = [r.payload for r in (p, q) if r.kind == "rational-restriction"]
-            if not rats:
-                pieces.append(Piece(a, b, "indicator"))
+            if p.kind == "indicator":
+                pieces.append(Piece(a, b, q.kind, q.payload))
+            elif q.kind == "indicator":
+                pieces.append(Piece(a, b, p.kind, p.payload))
+            elif p.kind == q.kind == "rational-restriction":
+                pieces.append(Piece(a, b, "rational-restriction", p.payload * q.payload))
             else:
-                prod = rats[0] if len(rats) == 1 else rats[0] * rats[1]
-                pieces.append(Piece(a, b, "rational-restriction", prod))
+                raise ValueError(
+                    f"overlap of a {p.kind} piece with a {q.kind} piece on "
+                    f"[{a}, {b}]: the product is none of the piece kinds")
     return PiecewiseFun(tuple(pieces))
 
 

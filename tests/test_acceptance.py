@@ -229,7 +229,6 @@ MOD_PW = PiecewiseModel(PiecewiseFun.indicator(*IV), PSI_PW, 0.0)
 
 
 def test_jump_table_90_points_with_rank_agreement():
-    mp = pytest.importorskip("mpmath")
     ks_off = np.concatenate([np.linspace(-3, -0.3, 10),
                              np.linspace(1.2, 1.8, 10),
                              np.linspace(3.3, 5, 10)])
@@ -241,12 +240,8 @@ def test_jump_table_90_points_with_rank_agreement():
         assert abs(jr.jump_Minv - 2j * PI) < 1e-8
         expected_rank[float(k)] = jr.rank
         assert jr.rank == 1
-    for k in ks_on:
-        jr = mb_jump(MOD_PW, k)
-        # independent oracle: psi = 1/log((1-t)/(0-t)) on IV2, by mpmath
-        psihat = complex(mp.quad(
-            lambda t, k=k: 1 / (mp.log((IV[1] - t) / (IV[0] - t)) * (t - k)), IV2))
-        assert abs(jr.jump_Minv - 2j * PI * (1 - psihat)) < 1e-8
+    jrs_on = [mb_jump(MOD_PW, k) for k in ks_on]
+    for k, jr in zip(ks_on, jrs_on):
         expected_rank[float(k)] = jr.rank
         assert jr.rank == 1
     for k in ks_prime:
@@ -258,6 +253,12 @@ def test_jump_table_90_points_with_rank_agreement():
         rc = jump_rank_check(MOD_PW, k, fs=[1.0], ws=[1.0],
                              mus=[1j], mu_ts=[1.5j])
         assert rc.resolved and rc.equal and rc.rank_resolvent == rank, k
+    mp = pytest.importorskip("mpmath")
+    for k, jr in zip(ks_on, jrs_on):
+        # independent oracle: psi = 1/log((1-t)/(0-t)) on IV2, by mpmath
+        psihat = complex(mp.quad(
+            lambda t, k=k: 1 / (mp.log((IV[1] - t) / (IV[0] - t)) * (t - k)), IV2))
+        assert abs(jr.jump_Minv - 2j * PI * (1 - psihat)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

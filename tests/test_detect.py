@@ -13,6 +13,7 @@ from fmlab.ratfun import (
 )
 from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
 from fmlab.friedrichs import FriedrichsModel, tilde_model
+from fmlab import detect
 from fmlab.detect import (
     _d_at, PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
     defect_hardy_plus, disjoint_support_classify, jump_rank_check, mb_jump,
@@ -349,6 +350,10 @@ def test_minv_jump_table():
         jr = mb_jump(MOD_PW, k)
         assert jr.jump_Minv == pytest.approx(2j * PI, abs=1e-8)
         assert jr.rank == 1
+    for k in (2.2, 2.5, 2.8):
+        jr = mb_jump(MOD_PW, k)
+        assert abs(jr.jump_Minv) < 1e-6
+        assert jr.rank == 0
     mp = pytest.importorskip("mpmath")
     k = 0.5
     jr = mb_jump(MOD_PW, k)
@@ -356,10 +361,6 @@ def test_minv_jump_table():
     psihat = complex(mp.quad(
         lambda t: 1 / (mp.log((IV[1] - t) / (IV[0] - t)) * (t - k)), IV2))
     assert jr.jump_Minv == pytest.approx(2j * PI * (1 - psihat), abs=1e-8)
-    for k in (2.2, 2.5, 2.8):
-        jr = mb_jump(MOD_PW, k)
-        assert abs(jr.jump_Minv) < 1e-6
-        assert jr.rank == 0
 
 
 def test_minv_jump_rational_model():
@@ -436,12 +437,67 @@ def test_overlap_jump_rank_check():
         assert (rc.rank_resolvent, rc.rank_M) == (1, 1)
 
 
-def test_overlap_with_reciprocal_cauchy_refused():
-    mod = PiecewiseModel(PiecewiseFun.indicator(2.5, 4.0), PSI_PW, 0.0)
+# phi = 1[2.5,4] overlaps psi = 1/log((1-t)/(0-t)) on [2,3]: psi phibar is
+# the reciprocal-cauchy-of piece restricted to [2.5,3]
+MOD_RC = PiecewiseModel(PiecewiseFun.indicator(2.5, 4.0), PSI_PW, 0.0)
+
+
+def _d_by_factors(model, lam):
+    """1 + int psi phibar/(t - lam) over psi's support, product never formed."""
+    return 1.0 + detect._hat_product(model.psi, model.phi, lam)
+
+
+def test_overlap_indicator_with_reciprocal_cauchy_off_axis(monkeypatch):
+    for lam in (1j, 2.7 + 0.5j, 2.2 - 1j):
+        assert abs(_d_at(MOD_RC.phi, MOD_RC.psi, lam) - _d_by_factors(MOD_RC, lam)) < 1e-12
+    gs = (PiecewiseFun.indicator(2.6, 3.5), PiecewiseFun.indicator(-1.0, 0.5))
+    got = [sperp_residual(MOD_RC, g) for g in gs]
+    monkeypatch.setattr(detect, "_d_at", lambda phi, psi, lam: _d_by_factors(
+        PiecewiseModel(phi, psi, 0.0), lam))
+    want = [sperp_residual(MOD_RC, g) for g in gs]
+    assert got == pytest.approx(want, rel=1e-10)
+    assert min(got) > 1e-3
+
+
+def test_overlap_indicator_with_reciprocal_cauchy_jump():
+    mp = pytest.importorskip("mpmath")
+    k = 2.7
+    psi = lambda t: 1 / mp.log((IV[1] - t) / (IV[0] - t))
+
+    def pv(a, b):
+        # int_a^b psi(t)/(t - k) dt as a principal value, by mpmath
+        smooth = mp.quad(lambda t: (psi(t) - psi(k)) / (t - k), [a, k, b])
+        return complex(smooth + psi(k) * mp.log((b - k) / (k - a)))
+
+    pk = complex(psi(k))
+    minv = {}
+    for s in (1, -1):
+        D = 1 + pv(2.5, 3.0) + s * 1j * PI * pk
+        ph = pv(*IV2) + s * 1j * PI * pk
+        fh = np.log((4.0 - k) / (k - 2.5)) + s * 1j * PI
+        minv[s] = s * 1j * PI - ph * fh / D
+    jr = mb_jump(MOD_RC, k)
+    assert abs(jr.jump_Minv - (minv[1] - minv[-1])) < 1e-8
+    rc = jump_rank_check(MOD_RC, k, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[1.5j])
+    assert rc.resolved and rc.equal
+    assert (rc.rank_resolvent, rc.rank_M) == (1, 1)
+
+
+def test_overlap_rational_with_reciprocal_cauchy_refused():
+    phi = PiecewiseFun.restriction(RatFun.simple_pole(1j), 2.5, 4.0)
+    mod = PiecewiseModel(phi, PSI_PW, 0.0)
+    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+        piecewise_product(PSI_PW, phi)
     with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
         mb_jump(mod, 2.7)
-    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
-        jump_rank_check(mod, 2.7, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[1.5j])
+    # off the axis the determinant integrates the two factors instead
+    lam = 2.7 + 0.5j
+    assert _d_at(phi, PSI_PW, lam) == _d_by_factors(mod, lam)
+
+
+def test_sperp_residual_refuses_without_probes():
+    with pytest.raises(ValueError, match="no probe"):
+        sperp_residual(MOD_RC, PiecewiseFun.indicator(2.6, 3.5), mus=())
 
 
 # ---------------------------------------------------------------------------

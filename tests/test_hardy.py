@@ -231,8 +231,13 @@ def test_piecewise_product_pieces():
     assert piecewise_product(ind, PiecewiseFun.indicator(2.0, 3.0)).pieces == ()
     recip = PiecewiseFun.reciprocal_cauchy((5.0, 6.0), (1.0, 3.0))
     assert piecewise_product(recip, PiecewiseFun.indicator(3.0, 4.0)).pieces == ()
-    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
-        piecewise_product(ind, recip)
+    prod = piecewise_product(ind, recip)
+    assert [(p.a, p.b, p.kind, p.payload) for p in prod.pieces] == [
+        (1.0, 2.0, "reciprocal-cauchy-of", (5.0, 6.0))]
+    assert prod(1.5) == recip(1.5) and prod(2.5) == 0
+    for other in (recip, PiecewiseFun.restriction(r, 2.0, 4.0)):
+        with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+            piecewise_product(other, recip)
 
 
 def test_piecewise_plemelj():

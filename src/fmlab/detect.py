@@ -28,7 +28,7 @@ import numpy.polynomial.polynomial as npp
 
 from .ratfun import (
     Poly, RatFun, REAL_BAND, _CLUSTER, _TRIM_REL, cauchy_transform,
-    conj_reflect, l2_norm, partial_fractions, poly_roots,
+    companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
 )
 from .hardy import (
     QuadratureError, boundary_value, cauchy_transform_num,
@@ -264,11 +264,7 @@ def pencil_roots(pencil, alphas):
     """
     _, P, Q = pencil
     alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
-    n = len(Q)
-    comp = np.zeros((alphas.shape[0], n, n), dtype=complex)
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    comp[:, :, -1:] = -(P[:-1] + 2j * PI * alphas * Q)[:, :, None]  # empty if n = 0
-    return np.linalg.eigvals(comp)
+    return companion_roots(P[:-1] + 2j * PI * alphas * Q)
 
 
 def pencil_defects(model, alphas):
@@ -431,17 +427,24 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
     gnorm = _l2_of(g)
     if gnorm == 0:
         raise ValueError("zero candidate")
+    if all(isinstance(f, RatFun) for f in (phi, psi, g)):
+        probes = _rational_probes(psi, phibar, gbar, mus)
+    else:
+        probes = []
+        for mu in mus:
+            try:
+                D = _d_at(phi, psi, mu)
+                if abs(D) < 1e-9:
+                    continue
+                fh = _hat(phibar, mu)
+                F = _hat(gbar, mu) - (fh / D) * _hat_product(psi, gbar, mu)
+            except ValueError:
+                continue    # probe collided with a pole; plenty of grid remains
+            probes.append((mu, D, fh, F))
+    if not probes:
+        raise ValueError("no probe point gave a pairing; nothing is certified")
     worst = 0.0
-    probed = 0
-    for mu in mus:
-        try:
-            D = _d_at(phi, psi, mu)
-            if abs(D) < 1e-9:
-                continue
-            F = _hat(gbar, mu) - (_hat(phibar, mu) / D) * _hat_product(psi, gbar, mu)
-        except ValueError:
-            continue    # probe collided with a pole; plenty of grid remains
-        probed += 1
+    for mu, D, fh, F in probes:
         scale = np.sqrt(abs(mu.imag) / PI) / gnorm
         if Bs is None:
             worst = max(worst, abs(F) * scale)
@@ -449,13 +452,29 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
             sign = np.sign(mu.imag)
             ph = _hat(psi, mu)
             for B in Bs:
-                bracket = sign * PI * 1j - ph * _hat(phibar, mu) / D - complex(B)
+                bracket = sign * PI * 1j - ph * fh / D - complex(B)
                 if abs(bracket) < 1e-10:
                     continue
                 worst = max(worst, abs(F / bracket) * scale)
-    if not probed:
-        raise ValueError("no probe point gave a pairing; nothing is certified")
     return worst
+
+
+def _rational_probes(psi, phibar, gbar, mus):
+    """(mu, D, phibar_hat, F) of sperp_residual for rational data: the
+    products psi phibar and psi gbar are built once, and every transform is
+    one vectorized cauchy_transform over the probes that are off the axis,
+    clear of every pole and where |D| >= 1e-9."""
+    h, k = psi * phibar, psi * gbar
+    poles = [p.location for f in (h, k, gbar, phibar) for p in f.poles]
+    lam = np.array([mu for mu in map(complex, mus) if abs(mu.imag) >= REAL_BAND
+                    and all(abs(z - mu) > _CLUSTER * (1.0 + abs(mu)) for z in poles)],
+                   dtype=complex)
+    D = 1.0 + cauchy_transform(h, lam)
+    keep = np.abs(D) >= 1e-9
+    lam, D = lam[keep], D[keep]
+    fh = cauchy_transform(phibar, lam)
+    F = cauchy_transform(gbar, lam) - (fh / D) * cauchy_transform(k, lam)
+    return list(zip(lam.tolist(), D.tolist(), fh.tolist(), F.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +556,7 @@ def spectrum_T_membership(a, mu, curve_halfwidth=60.0, n_curve=4001, tol=1e-8):
     _require_halfplane(a, "UPPER", "symbol a")
     if a.decay_order < 0:
         raise ValueError("symbol must be bounded on the axis")
-    a_inf = 0j if a.decay_order >= 1 else a.num.coeffs[-1] / a.den.coeffs[-1]
+    a_inf = a.value_at_infinity
     diff = a - mu
     if diff.is_zero or diff.num.is_zero:
         raise ValueError("mu equals the symbol identically")
@@ -656,10 +675,8 @@ def mb_jump(model, k, tol=1e-8):
         fh = boundary_value(phibar, k, side)
         if isinstance(phi, RatFun) and isinstance(psi, RatFun):
             D = 1.0 + boundary_value(psi * phibar, k, side)
-        elif not isinstance(phi, RatFun) and not isinstance(psi, RatFun):
-            D = 1.0 + boundary_value(piecewise_product(psi, phibar), k, side)
         else:
-            D = _d_at(phi, psi, complex(k, 1e-300 if side == "+" else -1e-300))
+            D = 1.0 + boundary_value(piecewise_product(psi, phibar), k, side)
         if abs(D) < 1e-12:
             raise ZeroDivisionError(f"determinant vanishes at {k}{side}i0")
         return sgn - ph * fh / D - B

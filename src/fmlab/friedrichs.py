@@ -76,12 +76,9 @@ def traces(f):
     """
     if f.is_zero:
         return DomainElement(f, 0j, 0j, 0j)
-    if f.decay_order < 1 or any(p.half_plane == "REAL" for p in f.poles):
+    if not f.is_L2:
         raise ValueError("not in the maximal domain (growth or real pole)")
-    if f.decay_order == 1:
-        c = f.num.coeffs[-1] / f.den.coeffs[-1]
-    else:
-        c = 0j
+    c = f.tail if f.decay_order == 1 else 0j
     g1 = pv_integral(f)
     return DomainElement(f, complex(c), complex(g1), complex(c))
 
@@ -220,8 +217,9 @@ def apply_resolvent(model, lam, g):
     g_phi = cauchy_transform(g * model.phibar, lam)
     c_f = mv.M * (-g_hat + g_phi * mv.psi_hat / mv.D)
     pole = RatFun.simple_pole(lam)
-    f = (g * pole - (g_phi / mv.D) * (model.psi * pole)
-         + c_f * (pole - (mv.phibar_hat / mv.D) * (model.psi * pole)))
+    psi_pole = model.psi * pole
+    f = (g * pole - (g_phi / mv.D) * psi_pole
+         + c_f * (pole - (mv.phibar_hat / mv.D) * psi_pole))
     el = traces(f)
     # traces() recomputes c from the decay; f was assembled to make it c_f
     return DomainElement(el.f, el.c, el.gamma1, el.gamma2)
@@ -233,11 +231,7 @@ def apply_adjoint(model, el, variant="tilde_star"):
     x f - c_f 1 + <f, psi> phi ("star")."""
     f = el.f if isinstance(el, DomainElement) else el
     c = el.c if isinstance(el, DomainElement) else traces(f).c
-    if f.is_zero:
-        xf = RatFun.zero()
-    else:
-        xf = RatFun(Poly(np.concatenate([[0.0], f.num.coeffs])) - Poly([c]) * f.den,
-                    f.den)
+    xf = f * RatFun(Poly([0.0, 1.0])) - c
     if variant == "tilde_star":
         return xf + inner_product(f, model.phi) * model.psi
     if variant == "star":

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratfun import (
-    Poly, RatFun, REAL_BAND, partial_fractions, pv_integral, poly_roots,
-    poly_from_roots,
-)
+from .ratfun import RatFun, REAL_BAND, poly_roots, poly_from_roots
 
 __all__ = [
     "PiecewiseFun", "BlaschkeProduct", "Factorization", "QuadratureError",
@@ -196,15 +193,21 @@ class PiecewiseFun:
 
 
 def piecewise_product(f, g):
-    """Pointwise product of two piecewise functions, one piece per overlap.
+    """Pointwise product of two piecewise functions, or of a piecewise and a
+    rational one, with one piece per overlap.
 
     On the intersection of two pieces' intervals an indicator times any piece
     is that piece restricted to the intersection, and a rational restriction
     times a rational restriction is a rational restriction.  Disjoint supports
-    give a product with no pieces.  A reciprocal-cauchy-of piece times a
-    rational restriction or another reciprocal-cauchy-of piece is none of the
-    piece kinds, so that overlap raises ValueError.
+    give a product with no pieces.  A rational factor acts as a rational
+    restriction on every piece of the other factor.  A reciprocal-cauchy-of
+    piece times a rational restriction or another reciprocal-cauchy-of piece
+    is none of the piece kinds, so that overlap raises ValueError.
     """
+    if isinstance(f, RatFun):
+        f, g = g, f
+    if isinstance(g, RatFun):
+        g = PiecewiseFun(tuple(Piece(p.a, p.b, "rational-restriction", g) for p in f.pieces))
     pieces = []
     for p in f.pieces:
         for q in g.pieces:
@@ -232,28 +235,23 @@ def riesz_split(f):
     """Split rational L2 f into (plus, minus): poles in the lower / upper half-plane.
 
     plus + minus = f; plus is a boundary function of the upper half-plane
-    Hardy space H2+, minus of H2-.
+    Hardy space H2+, minus of H2-.  A filter of the pole-residue form.
     """
     if not f.is_L2:
         raise ValueError("riesz_split needs an L2 rational function with no real pole")
-    terms, _ = partial_fractions(f)
-    plus = RatFun.zero()
-    minus = RatFun.zero()
-    for z, k, c in terms:
-        t = RatFun(Poly([c]), poly_from_roots([z] * k))
-        if z.imag < 0:
-            plus = plus + t
-        else:
-            minus = minus + t
-    return plus, minus
+    return f.principal_part("lower"), f.principal_part("upper")
 
 
 def boundary_value(f, k, side="+"):
     """One-sided Cauchy-transform boundary value fhat(k +- i0).
 
-    Rational inputs use the closed-form p.v. (singularity subtracted into a
-    cancellable factor); piecewise inputs use quadrature with the logarithmic
-    kernel integrated analytically on the singular piece.
+    Rational inputs (bounded at infinity, no real pole) are closed form:
+    with f = f0 + f_lower + f_upper, f0 the value at infinity and f_lower,
+    f_upper the principal parts below and above the axis,
+    fhat(k + i0) = 2 pi i f_lower(k) + pi i f0 and
+    fhat(k - i0) = -2 pi i f_upper(k) - pi i f0.  Piecewise inputs use
+    quadrature with the logarithmic kernel integrated analytically on the
+    singular piece.
     """
     k = float(k)
     sgn = 1.0 if side in ("+", +1) else -1.0
@@ -261,9 +259,12 @@ def boundary_value(f, k, side="+"):
         for p in f.poles:
             if abs(p.location - k) < 1e-9 * (1 + abs(k)):
                 raise ValueError("boundary value at a real pole of f")
-        fk = complex(f(k))
-        g = RatFun(f.num - Poly([fk]) * f.den, f.den * Poly([-k, 1.0]))
-        return pv_integral(g) + sgn * 1j * np.pi * fk
+            if p.half_plane == "REAL":
+                raise ValueError("principal value at real pole unsupported here")
+        f0 = f.value_at_infinity
+        if sgn > 0:
+            return 2j * np.pi * f.principal_part("lower")(k) + 1j * np.pi * f0
+        return -2j * np.pi * f.principal_part("upper")(k) - 1j * np.pi * f0
     # piecewise path
     pv = 0j
     fk = 0j
@@ -341,7 +342,8 @@ class BlaschkeProduct:
         num_roots = [zk for zk, m in self.zeros for _ in range(m)]
         den_roots = [np.conj(zk) for zk, m in self.zeros for _ in range(m)]
         lead = np.prod([np.exp(1j * th) ** m for (_, m), th in zip(self.zeros, self.phases)])
-        return RatFun(poly_from_roots(num_roots, lead), poly_from_roots(den_roots))
+        return RatFun(poly_from_roots(num_roots, lead), poly_from_roots(den_roots),
+                      den_roots=[(np.conj(zk), m) for zk, m in self.zeros])
 
 
 @dataclass(frozen=True)

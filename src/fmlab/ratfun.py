@@ -1,16 +1,45 @@
-"""Complex polynomials and rational functions with root finding and residue calculus.
+"""Complex polynomials and rational functions in pole-residue form.
 
 Everything downstream (M-functions, resolvents, defect counts) reduces to algebra
-on reduced rational functions: closed-form line integrals over the real line are
+on rational functions: closed-form line integrals over the real line are
 residue sums, principal values are signed half-residue sums, and Cauchy/Borel
 transforms close the contour in the upper half-plane.
 
+Representation
+--------------
+A ``RatFun`` is held in its partial-fraction (pole-residue) form
+
+    f(x) = p(x) + sum_z sum_{k=1..m_z} c_{z,k} / (x - z)^k
+
+with distinct poles z, Laurent coefficients c_{z,k} (the leading one,
+k = m_z, nonzero) and a polynomial part p.  Sums, products, ``conj_reflect``,
+Riesz splits (``hardy.riesz_split``), principal values, Cauchy transforms and
+inner products are closed-form updates of this form and find no roots.
+``num``/``den`` (den monic, the product of (x - z)^m_z) are derived on
+demand, for the places that need coefficients.  A ``RatFun`` built from
+coefficients, ``RatFun(num, den, den_roots=...)``, derives its pole form on
+first use, from the given denominator roots or else from ``poly_roots``;
+``poly_roots`` otherwise serves only true polynomial roots (zeros of a
+numerator, division by a non-constant rational function).
+
+Cancellation rule
+-----------------
+Each computed coefficient carries the sum of the moduli of the terms it was
+summed from.  The leading Laurent coefficient at a pole is exactly zero when
+its modulus is at most ``_TRIM_REL`` times the largest such sum among that
+pole's coefficients: it is then rounding noise, the order drops, and a pole
+whose coefficients all vanish is removed.  The top coefficient of the
+polynomial part is trimmed the same way (as ``Poly`` trims its top
+coefficient), and the decay order at infinity is the first coefficient of
+the expansion at infinity that is not zero by the same rule.
+
 Conventions
 -----------
-Coefficients are ascending-degree complex doubles.  Poles within ``REAL_BAND``
-of the axis are classified REAL (degenerate band, never a knife edge).  Nearby
-root pairs (within the relative ``CLUSTER_RADIUS``) are merged into a single
-root with multiplicity.
+Coefficients are complex doubles.  Poles within ``REAL_BAND`` of the axis are
+classified REAL (degenerate band, never a knife edge).  Points within the
+relative ``_CLUSTER`` radius are one point: root finding merges such roots
+into one root with multiplicity, and arithmetic merges such poles at the
+first operand's location.
 """
 from __future__ import annotations
 
@@ -21,8 +50,8 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 __all__ = [
-    "Poly", "RatFun", "Pole", "RootFindingError", "DegreeCapError",
-    "poly_roots", "poly_from_roots", "conj_reflect", "partial_fractions",
+    "Poly", "RatFun", "Pole", "DegreeCapError",
+    "poly_roots", "companion_roots", "poly_from_roots", "conj_reflect", "partial_fractions",
     "residue", "pv_integral", "cauchy_transform", "inner_product", "l2_norm",
     "REAL_BAND", "DEGREE_CAP",
 ]
@@ -30,11 +59,7 @@ __all__ = [
 DEGREE_CAP = 64
 REAL_BAND = 1e-9          # |Im z| below this => pole "on" the real axis
 _CLUSTER = 1e-8           # relative root clustering radius
-_TRIM_REL = 1e-12         # relative trailing-coefficient trim
-
-
-class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to converge within its budget."""
+_TRIM_REL = 1e-12         # relative cancellation threshold (see module doc)
 
 
 class DegreeCapError(ValueError):
@@ -131,20 +156,6 @@ class Poly:
             return Poly([])
         return Poly(npp.polyder(self.coeffs))
 
-    def shift(self, z0):
-        """Taylor coefficients about z0 (synthetic-division shift)."""
-        c = self.coeffs.tolist()
-        n = len(c)
-        z0 = complex(z0)
-        out = []
-        for k in range(n):
-            # repeated synthetic division by (x - z0)
-            for j in range(n - 2 - k, -1, -1):
-                c[j] += z0 * c[j + 1]
-            out.append(c[0])
-            del c[0]
-        return np.array(out, dtype=complex)
-
     def __repr__(self):
         return f"Poly({np.round(self.coeffs, 12).tolist()})"
 
@@ -159,60 +170,38 @@ def _padded_add(a, b):
     return out
 
 
+def _shift(c, z0, n):
+    """First n Taylor coefficients about z0 of the ascending list c."""
+    c = list(c)
+    out = []
+    for k in range(min(n, len(c))):
+        # repeated synthetic division by (x - z0)
+        for j in range(len(c) - 2, -1, -1):
+            c[j] += z0 * c[j + 1]
+        out.append(c[0])
+        del c[0]
+    return out + [0j] * (n - len(out))
+
+
 def poly_from_roots(roots, lead=1.0):
     """Expand lead * prod (x - r_i); roots may repeat."""
-    c = [complex(lead)]
+    return Poly(np.array(_expand(roots, complex(lead)), dtype=complex))
+
+
+def _expand(roots, lead=1.0 + 0j):
+    c = [lead]
     for r in roots:
-        r = complex(r)
         nc = [-r * c[0]]
         for i in range(1, len(c)):
             nc.append(c[i - 1] - r * c[i])
         nc.append(c[-1])
         c = nc
-    return Poly(np.array(c, dtype=complex))
+    return c
 
 
 # ---------------------------------------------------------------------------
-# root finding: Aberth-Ehrlich simultaneous iteration
+# root finding: companion matrix, one Newton polish, clustering
 # ---------------------------------------------------------------------------
-
-def _aberth(c):
-    """All roots of the (ascending, monic-normalized) coefficient array c."""
-    n = c.size - 1
-    c = c / c[-1]
-    dc = npp.polyder(c)
-    # perturbed-circle initial guesses inside the Cauchy bound
-    radius = 1.0 + np.max(np.abs(c[:-1]))
-    angles = 2.0 * np.pi * (np.arange(n) + 0.35) / n + 0.4
-    x = radius * np.exp(1j * angles)
-    # roundoff floor for |p(x)|: eps * sum |c_j| |x|^j
-    absc = np.abs(c)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(200 * max(n, 1)):
-        p = npp.polyval(x, c)
-        floor = 8.0 * np.finfo(float).eps * npp.polyval(np.abs(x), absc)
-        done |= np.abs(p) <= floor
-        if done.all():
-            return x
-        dp = npp.polyval(x, dc)
-        bad = dp == 0
-        if bad.any():
-            x = np.where(bad, x * (1 + 1e-8) + 1e-8, x)
-            continue
-        w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1.0, denom)
-        step = np.where(done, 0.0, w / denom)
-        x = x - step
-        done |= np.abs(step) < 1e-13 * (1.0 + np.abs(x))
-        if done.all():
-            return x
-    res = np.max(np.abs(npp.polyval(x, c)))
-    raise RootFindingError(f"no convergence after {200 * n} iterations; residual {res:.3e}")
-
 
 def _cluster(roots, errs=None):
     """Merge roots within the clustering radius; returns (root, mult) list.
@@ -253,9 +242,10 @@ def _cluster(roots, errs=None):
 def poly_roots(p):
     """Roots of p with multiplicities, as a list of (root, multiplicity).
 
-    Simultaneous Aberth-Ehrlich iteration from perturbed-circle starts; close
-    roots are merged by the relative clustering radius.  Degree 1 and 2 short-
-    circuit to closed forms.
+    Eigenvalues of the companion matrix (backward stable, Edelman-Murakami),
+    then one vectorized Newton step per root, kept where it lowers |p|; close
+    roots are merged by the relative clustering radius widened by each root's
+    first-order error radius.  Degree 1 and 2 use closed forms.
     """
     if not isinstance(p, Poly):
         p = Poly(p)
@@ -266,7 +256,7 @@ def poly_roots(p):
         return []
     c = p.coeffs
     if n == 1:
-        return [(-c[0] / c[1], 1)]
+        return [(complex(-c[0] / c[1]), 1)]
     if n == 2:
         a, b, cc = c[2], c[1], c[0]
         disc = np.sqrt(complex(b * b - 4 * a * cc))
@@ -277,8 +267,25 @@ def poly_roots(p):
         else:
             r1, r2 = q / a, cc / q
         return _cluster([complex(r1), complex(r2)], _root_errs(c, [r1, r2]))
-    x = _aberth(c)
+    x = companion_roots(c[:-1] / c[-1])
+    dc = npp.polyder(c)
+    px = npp.polyval(x, c)
+    dpx = npp.polyval(x, dc)
+    y = x - px / np.where(dpx == 0, 1.0, dpx)
+    x = np.where((dpx != 0) & (np.abs(npp.polyval(y, c)) < np.abs(px)), y, x)
     return _cluster([complex(v) for v in x], _root_errs(c, x))
+
+
+def companion_roots(lower):
+    """Roots of the monic polynomials x^n + sum_j lower[..., j] x^j: the
+    eigenvalues of their companion matrices, in one stacked eigvals call."""
+    lower = np.asarray(lower, dtype=complex)
+    n = lower.shape[-1]
+    comp = np.zeros(lower.shape[:-1] + (n, n), dtype=complex)
+    comp[..., np.arange(1, n), np.arange(n - 1)] = 1.0
+    if n:
+        comp[..., :, -1] = -lower
+    return np.linalg.eigvals(comp)
 
 
 def _root_errs(c, x):
@@ -288,6 +295,222 @@ def _root_errs(c, x):
     floor = 8.0 * np.finfo(float).eps * npp.polyval(np.abs(x), np.abs(np.asarray(c)))
     dp = np.abs(npp.polyval(x, dc))
     return list(4.0 * floor / np.maximum(dp, 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# pole-residue kernels on (terms, poly)
+#
+# terms: tuple of (z, cs) over distinct poles z, cs[k-1] the coefficient of
+# (x - z)^-k with cs[-1] != 0; poly: tuple of ascending coefficients with a
+# nonzero last entry (empty for the zero polynomial).  Each kernel carries,
+# beside every coefficient it sums, the sum of the moduli of the terms, for
+# the cancellation rule.
+# ---------------------------------------------------------------------------
+
+def _cut(vals, mags):
+    """Drop leading entries (at the end) that the cancellation rule zeroes."""
+    k = len(vals)
+    cut = _TRIM_REL * max(mags, default=0.0)
+    while k and abs(vals[k - 1]) <= cut:
+        k -= 1
+    return tuple(vals[:k])
+
+
+def _match(locs, w):
+    """Index of the pole in locs that w is the same point as, or -1."""
+    if w in locs:
+        return locs.index(w)
+    rad = _CLUSTER * (1.0 + abs(w))
+    for i, z in enumerate(locs):
+        if abs(z - w) <= rad:
+            return i
+    return -1
+
+
+def _sum(a, b):
+    """Entrywise sum of two coefficient tuples, cut by the rule."""
+    n = max(len(a), len(b))
+    a = a + (0j,) * (n - len(a))
+    b = b + (0j,) * (n - len(b))
+    return _cut([x + y for x, y in zip(a, b)], [abs(x) + abs(y) for x, y in zip(a, b)])
+
+
+def _add_parts(ta, pa, tb, pb):
+    terms = list(ta)
+    locs = [z for z, _ in ta]
+    for w, cb in tb:
+        i = _match(locs, w)
+        if i < 0:
+            terms.append((w, cb))
+            locs.append(w)
+        else:
+            terms[i] = (terms[i][0], _sum(terms[i][1], cb))
+    return tuple(t for t in terms if t[1]), _sum(pa, pb)
+
+
+def _taylor(terms, poly, z, n, skip):
+    """First n Taylor coefficients at z of poly plus every principal part in
+    terms except terms[skip], with the moduli sums of their terms."""
+    if n == 0:
+        return [], []
+    if poly:
+        vals = _shift(poly, z, n)
+        mags = [abs(v) for v in _shift([abs(c) for c in poly], abs(z), n)]
+    else:
+        vals = [0j] * n
+        mags = [0.0] * n
+    for i, (w, cs) in enumerate(terms):
+        if i == skip:
+            continue
+        r = 1.0 / (z - w)
+        if n == 1 and len(cs) == 1:      # the common case, unrolled
+            t = cs[0] * r
+            vals[0] += t
+            mags[0] += abs(t)
+            continue
+        # c (u + d)^-j = c sum_k (-1)^k C(j+k-1, k) d^-(j+k) u^k, d = z - w
+        for j, c in enumerate(cs, 1):
+            t = c * r ** j
+            for k in range(n):
+                vals[k] += t
+                mags[k] += abs(t)
+                t *= -(j + k) / (k + 1) * r
+    return vals, mags
+
+
+def _poly_quotient(p, w, m):
+    """Quotient of the ascending list p by (x - w)^m."""
+    q = list(p)
+    for _ in range(m):
+        if len(q) <= 1:
+            return []
+        out = [0j] * (len(q) - 1)
+        acc = 0j
+        for j in range(len(q) - 1, 0, -1):
+            acc = q[j] + w * acc
+            out[j - 1] = acc
+        q = out
+    return q
+
+
+def _mul_parts(ta, pa, tb, pb):
+    """Pole form of the product: the Laurent series of the factors multiplied
+    at each pole (orders add at a shared pole), and the polynomial part."""
+    merged = [[z, i, -1] for i, (z, _) in enumerate(ta)]
+    locs = [z for z, _ in ta]
+    for j, (w, _) in enumerate(tb):
+        i = _match(locs, w)
+        if i < 0:
+            merged.append([w, -1, j])
+            locs.append(w)
+        else:
+            merged[i][2] = j
+    terms = []
+    for z, i, j in merged:
+        ca = ta[i][1] if i >= 0 else ()
+        cb = tb[j][1] if j >= 0 else ()
+        ma, mb = len(ca), len(cb)
+        # Laurent series at z from u^-ma (resp. u^-mb) up to u^(m-1-ma)
+        av, am = _taylor(ta, pa, z, mb, i)
+        bv, bm = _taylor(tb, pb, z, ma, j)
+        A = list(ca[::-1]) + av
+        Am = [abs(c) for c in ca[::-1]] + am
+        B = list(cb[::-1]) + bv
+        Bm = [abs(c) for c in cb[::-1]] + bm
+        m = ma + mb
+        vals, mags = [], []
+        for k in range(1, m + 1):
+            s = m - k
+            v = 0j
+            g = 0.0
+            for a in range(s + 1):
+                v += A[a] * B[s - a]
+                g += Am[a] * Bm[s - a]
+            vals.append(v)
+            mags.append(g)
+        cs = _cut(vals, mags)
+        if cs:
+            terms.append((z, cs))
+    # polynomial part: pa pb plus the polynomial parts of pa * (principal
+    # parts of b) and pb * (principal parts of a)
+    n = max(len(pa) + len(pb) - 1, len(pa) - 1, len(pb) - 1, 0)
+    vals = [0j] * n
+    mags = [0.0] * n
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            vals[i + j] += x * y
+            mags[i + j] += abs(x * y)
+    for p, ts in ((pa, tb), (pb, ta)):
+        if len(p) < 2:
+            continue
+        for w, cs in ts:
+            for k, c in enumerate(cs, 1):
+                for d, q in enumerate(_poly_quotient(p, w, k)):
+                    vals[d] += c * q
+                    mags[d] += abs(c * q)
+    return tuple(terms), _cut(vals, mags)
+
+
+def _scale_parts(terms, poly, s):
+    return (tuple((z, tuple(c * s for c in cs)) for z, cs in terms),
+            tuple(c * s for c in poly))
+
+
+def _pf_from_coeffs(num, den, roots):
+    """Pole form of num/den, den = den[-1] * prod (x - r)^m over roots.
+
+    The Taylor series of the reduced denominator about each pole is expanded
+    from the roots: deflating the expanded denominator instead loses the
+    relative accuracy of its value when other poles sit close.
+    """
+    if num.is_zero:
+        return (), ()
+    poly = ()
+    nc = num.coeffs
+    if num.degree >= den.degree:
+        q, r = npp.polydiv(nc, den.coeffs)
+        poly = tuple(Poly(q).coeffs.tolist())
+        nc = Poly(r).coeffs
+        if nc.size == 0:
+            return (), poly
+    locs = [z for z, _ in roots]
+    if len(locs) >= 2:
+        dmin = min(abs(a - b) for i, a in enumerate(locs) for b in locs[:i])
+        if dmin < 1e-6 * (1.0 + max(abs(z) for z in locs)):
+            warnings.warn(
+                f"clustered poles (separation {dmin:.2e}); partial fractions may be "
+                f"ill-conditioned (condition ~ {1.0 / max(dmin, 1e-300):.1e})",
+                RuntimeWarning, stacklevel=3)
+    nl = nc.tolist()
+    nabs = [abs(c) for c in nl]
+    terms = []
+    for i, (z, m) in enumerate(roots):
+        a = _shift(nl, z, m)
+        am = [abs(v) for v in _shift(nabs, abs(z), m)]
+        # reduced denominator lead * prod_{r != z} ((x - z) + (z - r))^mr about z
+        b = [0j] * m
+        b[0] = complex(den.coeffs[-1])
+        for j, (r, mr) in enumerate(roots):
+            if j == i:
+                continue
+            d = z - r
+            for _ in range(mr):
+                for t in range(m - 1, 0, -1):
+                    b[t] = b[t] * d + b[t - 1]
+                b[0] *= d
+        h, hm = [], []
+        for t in range(m):
+            acc = a[t]
+            g = am[t]
+            for s in range(1, t + 1):
+                acc -= b[s] * h[t - s]
+                g += abs(b[s]) * hm[t - s]
+            h.append(acc / b[0])
+            hm.append(g / abs(b[0]))
+        cs = _cut(h[::-1], hm[::-1])
+        if cs:
+            terms.append((complex(z), cs))
+    return tuple(terms), poly
 
 
 # ---------------------------------------------------------------------------
@@ -310,79 +533,177 @@ class Pole:
         return UPPER if z.imag > 0 else LOWER
 
 
-class RatFun:
-    """Reduced rational function num/den with a classified pole set.
+_ONE = Poly([1.0])
 
-    Common num/den roots within the clustering radius are cancelled at
-    construction (root-level reduction; no float GCD).  The denominator is kept
-    monic.  Immutable in spirit: no method mutates an instance.
+
+def _make(terms, poly):
+    f = object.__new__(RatFun)
+    f._pf = (terms, poly)
+    f._src = f._nd = f._poles = None
+    return f
+
+
+class RatFun:
+    """Rational function in pole-residue form (see the module docstring).
+
+    ``RatFun(num, den, den_roots=[(z, m), ...])`` builds one from coefficients;
+    the pole form is derived on first use, from den_roots when given (den is
+    then lead * prod (x - z)^m) and otherwise from ``poly_roots(den)``.
+    Immutable: no method mutates an instance, and the lazily filled caches
+    give the same bits whenever they are filled.
     """
 
-    __slots__ = ("num", "den", "_den_roots", "_poles")
+    __slots__ = ("_pf", "_src", "_nd", "_poles")
 
     def __init__(self, num, den=None, den_roots=None):
         num = num if isinstance(num, Poly) else Poly(num)
-        den = Poly([1.0]) if den is None else (den if isinstance(den, Poly) else Poly(den))
+        den = _ONE if den is None else (den if isinstance(den, Poly) else Poly(den))
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if den_roots is None:
-            den_roots = poly_roots(den)
-        else:
-            den_roots = list(den_roots)
-        if (not num.is_zero and num.degree >= 1 and den.degree >= 1
-                and _maybe_cancels(num, den_roots)):
-            num_roots = poly_roots(num)
-            num_roots, den_roots, cancelled = _cancel(num_roots, den_roots)
-            if cancelled:
-                num = poly_from_roots(
-                    [r for r, m in num_roots for _ in range(m)], num.coeffs[-1])
-                den = poly_from_roots(
-                    [r for r, m in den_roots for _ in range(m)], den.coeffs[-1])
-        lead = den.coeffs[-1]
-        if lead != 1.0:
-            num = Poly(num.coeffs / lead) if not num.is_zero else num
-            den = Poly(den.coeffs / lead)
-        self.num = num
-        self.den = den
-        self._den_roots = tuple((r, m) for r, m in den_roots)
-        self._poles = None
+        self._src = (num, den, den_roots)
+        self._pf = self._nd = self._poles = None
+
+    def _parts(self):
+        pf = self._pf
+        if pf is None:
+            num, den, roots = self._src
+            if den.degree == 0:
+                pf = (), tuple((num.coeffs / den.coeffs[0]).tolist()) if not num.is_zero else ()
+            else:
+                roots = poly_roots(den) if roots is None else [(complex(z), m) for z, m in roots]
+                pf = _pf_from_coeffs(num, den, roots)
+            self._pf = pf
+            self._src = None
+        return pf
 
     @property
     def poles(self):
-        # classified lazily: most intermediate values never have their pole
-        # set inspected
         p = self._poles
         if p is None:
-            p = tuple(Pole(r, m, Pole.classify(r)) for r, m in self._den_roots)
+            p = tuple(Pole(z, len(cs), Pole.classify(z)) for z, cs in self._parts()[0])
             self._poles = p
         return p
+
+    @property
+    def num(self):
+        return self._num_den()[0]
+
+    @property
+    def den(self):
+        return self._num_den()[1]
+
+    def _num_den(self):
+        """(num, den) with den = prod (x - z)^m monic."""
+        nd = self._nd
+        if nd is None:
+            terms, poly = self._parts()
+            roots = [z for z, cs in terms for _ in cs]
+            den = _expand(roots)
+            num = [0j] * len(den)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(den):
+                    if i + j >= len(num):
+                        num.append(0j)
+                    num[i + j] += x * y
+            for z, cs in terms:
+                rest = [w for w, ws in terms if w != z for _ in ws]
+                for k, c in enumerate(cs, 1):
+                    # c * den / (x - z)^k
+                    for d, q in enumerate(_expand(rest + [z] * (len(cs) - k))):
+                        num[d] += c * q
+            nd = (Poly(num), Poly(den))
+            self._nd = nd
+        return nd
 
     # -- basic predicates ---------------------------------------------------
     @property
     def is_zero(self):
-        return self.num.is_zero
+        terms, poly = self._parts()
+        return not terms and not poly
 
     @property
     def decay_order(self):
-        """deg(den) - deg(num); number of powers of 1/x at infinity."""
-        if self.num.is_zero:
+        """deg(den) - deg(num); number of powers of 1/x at infinity.
+
+        Without a polynomial part it is the first n whose moment
+        mu_n = sum_z sum_k c_{z,k} C(n-1, k-1) z^(n-k) (the coefficient of
+        x^-n at infinity) survives the cancellation rule.
+        """
+        terms, poly = self._parts()
+        if poly:
+            return 1 - len(poly)
+        if not terms:
             return np.inf
-        return self.den.degree - self.num.degree
+        for n in range(1, sum(len(cs) for _, cs in terms) + 1):
+            v, g = _moment(terms, n)
+            if abs(v) > _TRIM_REL * g:
+                return n
+        return np.inf
+
+    @property
+    def tail(self):
+        """lim x f(x) at infinity for f without a polynomial part: the sum of
+        the residues."""
+        return _moment(self._parts()[0], 1)[0]
+
+    @property
+    def value_at_infinity(self):
+        """lim f(x) at infinity; ValueError when f grows."""
+        poly = self._parts()[1]
+        if len(poly) > 1:
+            raise ValueError("rational function grows at infinity")
+        return poly[0] if poly else 0j
+
+    def principal_part(self, side):
+        """Sum of the principal parts at the poles above ("upper") or below
+        ("lower") the axis; poles in the real band belong to neither."""
+        terms = self._parts()[0]
+        if side == "upper":
+            return _make(tuple(t for t in terms if t[0].imag >= REAL_BAND), ())
+        return _make(tuple(t for t in terms if t[0].imag <= -REAL_BAND), ())
 
     @property
     def is_L2(self):
-        return self.num.is_zero or (
-            self.decay_order >= 1 and all(p.half_plane != REAL for p in self.poles))
+        terms, poly = self._parts()
+        return not poly and not _real_pole(terms)
 
     # -- evaluation ---------------------------------------------------------
     def __call__(self, x):
-        if self.num.is_zero:
-            x = np.asarray(x)
-            return np.zeros(x.shape, dtype=complex) if x.ndim else 0j
+        """Values at x (scalar or array).  Beyond twice the pole radius the
+        quotient num/den is evaluated instead of the pole form: when the
+        residues cancel at infinity, the pole form loses relative accuracy
+        there in proportion to |x|."""
+        terms, poly = self._parts()
+        far = 2.0 * (1.0 + max((abs(z) for z, _ in terms), default=0.0))
         if not isinstance(x, np.ndarray):
-            return self.num(x) / self.den(x)
+            x = complex(x)
+            if terms and abs(x) > far:
+                num, den = self._num_den()
+                return num(x) / den(x)
+            s = 0j
+            for c in poly[::-1]:
+                s = s * x + c
+            for z, cs in terms:
+                r = 1.0 / (x - z)
+                acc = 0j
+                for c in cs[::-1]:
+                    acc = (acc + c) * r
+                s += acc
+            return s
         x = np.asarray(x, dtype=complex)
-        return npp.polyval(x, self.num.coeffs) / npp.polyval(x, self.den.coeffs)
+        out = npp.polyval(x, poly) if poly else np.zeros(x.shape, dtype=complex)
+        for z, cs in terms:
+            r = 1.0 / (x - z)
+            acc = cs[-1] * r
+            for c in cs[-2::-1]:
+                acc = (acc + c) * r
+            out = out + acc
+        if terms:
+            outside = np.abs(x) > far
+            if outside.any():
+                num, den = self._num_den()
+                out[outside] = num(x[outside]) / den(x[outside])
+        return out
 
     # -- algebra ------------------------------------------------------------
     def _coerce(self, other):
@@ -390,22 +711,12 @@ class RatFun:
             return other
         if isinstance(other, Poly):
             return RatFun(other)
-        return RatFun(Poly([complex(other)]))
+        z = complex(other)
+        return _make((), (z,) if z != 0 else ())
 
     def __add__(self, other):
         g = self._coerce(other)
-        if self.is_zero:
-            return g
-        if g.is_zero:
-            return self
-        # sum over the least common denominator (shared poles are matched by
-        # location rather than doubled and re-cancelled, which would cost
-        # sqrt(eps) accuracy at the rebuilt double roots)
-        lcd = _ms_lcd(self._den_roots, g._den_roots)
-        cof1 = _ms_poly(_ms_diff(lcd, self._den_roots))
-        cof2 = _ms_poly(_ms_diff(lcd, g._den_roots))
-        num = self.num * cof1 + g.num * cof2
-        return RatFun(num, _ms_poly(lcd), den_roots=lcd)
+        return _make(*_add_parts(*self._parts(), *g._parts()))
 
     __radd__ = __add__
 
@@ -418,12 +729,11 @@ class RatFun:
     def __mul__(self, other):
         if not isinstance(other, (RatFun, Poly)):
             z = complex(other)
-            return RatFun(self.num * z, self.den, den_roots=self._den_roots)
+            if z == 0:
+                return RatFun.zero()
+            return _make(*_scale_parts(*self._parts(), z))
         g = self._coerce(other)
-        if self.is_zero or g.is_zero:
-            return RatFun.zero()
-        return RatFun(self.num * g.num, self.den * g.den,
-                      den_roots=_ms_prod(self._den_roots, g._den_roots))
+        return _make(*_mul_parts(*self._parts(), *g._parts()))
 
     __rmul__ = __mul__
 
@@ -431,113 +741,59 @@ class RatFun:
         g = self._coerce(other)
         if g.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        if g.num.degree == 0:
-            scale = g.num.coeffs[0]
-            return RatFun(self.num * (1.0 / scale), self.den,
-                          den_roots=self._den_roots) * RatFun(g.den)
-        extra = [(r, m) for r, m in poly_roots(g.num)]
-        return RatFun(self.num * g.den, self.den * g.num,
-                      den_roots=_ms_prod(self._den_roots, extra))
+        gt, gp = g._parts()
+        if not gt and len(gp) == 1:
+            return _make(*_scale_parts(*self._parts(), 1.0 / gp[0]))
+        # 1/g = den/num: poles at the numerator roots of g
+        num, den = g._num_den()
+        lead = num.coeffs[-1]
+        recip = _pf_from_coeffs(Poly(den.coeffs / lead), Poly(num.coeffs / lead),
+                                poly_roots(num))
+        return _make(*_mul_parts(*self._parts(), *recip))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return RatFun(self.num * (-1.0), self.den, den_roots=self._den_roots)
+        return _make(*_scale_parts(*self._parts(), -1.0))
 
     def __repr__(self):
         return f"RatFun({self.num!r} / {self.den!r})"
 
     @staticmethod
     def zero():
-        return RatFun(Poly([]), Poly([1.0]), den_roots=[])
+        return _make((), ())
 
     @staticmethod
     def const(z):
-        return RatFun(Poly([complex(z)]), Poly([1.0]), den_roots=[])
+        z = complex(z)
+        return _make((), (z,) if z != 0 else ())
 
     @staticmethod
     def simple_pole(z, coeff=1.0):
         """coeff / (x - z)."""
-        return RatFun(Poly([complex(coeff)]), Poly([-complex(z), 1.0]),
-                      den_roots=[(complex(z), 1)])
+        coeff = complex(coeff)
+        return _make(((complex(z), (coeff,)),) if coeff != 0 else (), ())
 
 
-def _ms_lcd(r1, r2):
-    """Least common multiple of two root multisets (max multiplicity)."""
-    out = [list(t) for t in r1]
-    for z, m in r2:
-        for item in out:
-            if abs(item[0] - z) <= _CLUSTER * (1.0 + abs(z)):
-                item[1] = max(item[1], m)
-                break
-        else:
-            out.append([z, m])
-    return [(r, m) for r, m in out]
-
-def _ms_prod(r1, r2):
-    """Concatenate root multisets, merging coincident roots by summed order."""
-    out = [list(t) for t in r1]
-    for z, m in r2:
-        for item in out:
-            if abs(item[0] - z) <= _CLUSTER * (1.0 + abs(z)):
-                item[1] += m
-                break
-        else:
-            out.append([z, m])
-    return [(r, m) for r, m in out]
-
-def _ms_diff(big, small):
-    """Multiset difference big / small; small must embed in big."""
-    out = [list(t) for t in big]
-    for z, m in small:
-        for item in out:
-            if item[1] >= m and abs(item[0] - z) <= _CLUSTER * (1.0 + abs(z)):
-                item[1] -= m
-                break
-        else:
-            raise ValueError("root multiset difference is not defined")
-    return [(r, m) for r, m in out if m > 0]
-
-def _ms_poly(ms):
-    """Monic polynomial with the given root multiset."""
-    return poly_from_roots([r for r, m in ms for _ in range(m)], 1.0)
+def _real_pole(terms):
+    return any(abs(z.imag) < REAL_BAND for z, _ in terms)
 
 
-def _maybe_cancels(num, den_roots):
-    """Cheap screen: can the numerator vanish near any denominator root?
-
-    |num(r)| well above the rounding floor at r rules out a root of num within
-    the clustering radius, so the full numerator root computation is skipped.
-    """
-    ac = np.abs(num.coeffs)
-    for r, _ in den_roots:
-        s = 1.0 + abs(r)
-        scale = 0.0
-        for a in ac[::-1]:
-            scale = scale * s + a
-        if abs(num(r)) <= 1e-6 * scale:
-            return True
-    return False
-
-
-def _cancel(num_roots, den_roots):
-    """Cancel matching (root, mult) pairs across numerator and denominator."""
-    num_roots = [list(t) for t in num_roots]
-    den_roots = [list(t) for t in den_roots]
-    cancelled = False
-    for dn in den_roots:
-        for nm in num_roots:
-            if nm[1] == 0 or dn[1] == 0:
-                continue
-            if abs(nm[0] - dn[0]) <= _CLUSTER * (1.0 + abs(dn[0])):
-                k = min(nm[1], dn[1])
-                nm[1] -= k
-                dn[1] -= k
-                cancelled = True
-    num_out = [(r, m) for r, m in num_roots if m > 0]
-    den_out = [(r, m) for r, m in den_roots if m > 0]
-    return num_out, den_out, cancelled
+def _moment(terms, n):
+    """Coefficient of x^-n at infinity of the principal parts, with the
+    moduli sum of its terms."""
+    v = 0j
+    g = 0.0
+    for z, cs in terms:
+        binom = 1.0
+        for k, c in enumerate(cs[:n], 1):
+            # C(n-1, k-1) z^(n-k)
+            t = c * binom * z ** (n - k)
+            v += t
+            g += abs(t)
+            binom = binom * (n - k) / k
+    return v, g
 
 
 def conj_reflect(f):
@@ -547,76 +803,31 @@ def conj_reflect(f):
     """
     if isinstance(f, Poly):
         return Poly(np.conj(f.coeffs))
-    return RatFun(Poly(np.conj(f.num.coeffs)), Poly(np.conj(f.den.coeffs)),
-                  den_roots=[(np.conj(r), m) for r, m in f._den_roots])
+    terms, poly = f._parts()
+    return _make(tuple((z.conjugate(), tuple(c.conjugate() for c in cs)) for z, cs in terms),
+                 tuple(c.conjugate() for c in poly))
 
 
 # ---------------------------------------------------------------------------
-# partial fractions and residues
+# partial fractions, residues, integrals
 # ---------------------------------------------------------------------------
 
 def partial_fractions(f):
-    """Decompose f into (pole, order, coefficient) terms plus a polynomial part.
+    """f as (pole, order, coefficient) terms plus a polynomial part.
 
     Returns (terms, poly_part) where each term (z, k, c) stands for c/(x-z)^k
-    and poly_part is a Poly.  Reconstruction of f from the output is exact up
-    to conditioning of clustered poles (warned about).
+    and poly_part is a Poly: the stored pole-residue form, listed.
     """
-    if f.is_zero:
-        return [], Poly([])
-    num, den = f.num, f.den
-    poly_part = Poly([])
-    if num.degree >= den.degree:
-        q, r = npp.polydiv(num.coeffs, den.coeffs)
-        poly_part = Poly(q)
-        num = Poly(r)
-        if num.is_zero:
-            return [], poly_part
-    locs = [p.location for p in f.poles]
-    if len(locs) >= 2:
-        dmin = min(abs(a - b) for i, a in enumerate(locs) for b in locs[:i])
-        if dmin < 1e-6 * (1.0 + max(abs(z) for z in locs)):
-            warnings.warn(
-                f"clustered poles (separation {dmin:.2e}); partial fractions may be "
-                f"ill-conditioned (condition ~ {1.0 / max(dmin, 1e-300):.1e})",
-                RuntimeWarning, stacklevel=2)
-    terms = []
-    roots = f._den_roots
-    for i, (z, m) in enumerate(roots):
-        # Taylor series of num/den_reduced about z, to order m-1
-        a = Poly(num.coeffs).shift(z)[:m] if num.degree + 1 >= 1 else np.zeros(m, complex)
-        if a.size < m:
-            a = np.pad(a, (0, m - a.size))
-        # den_reduced = lead * prod_{r != z} ((x-z) + (z-r))^mr, expanded about
-        # z from the roots: deflating the expanded denominator instead loses
-        # the relative accuracy of b[0] when other poles sit close to z
-        b = np.zeros(m, dtype=complex)
-        b[0] = den.coeffs[-1]
-        for j, (r, mr) in enumerate(roots):
-            if j == i:
-                continue
-            for _ in range(mr):
-                b[1:] = b[1:] * (z - r) + b[:-1]
-                b[0] *= z - r
-        h = np.zeros(m, dtype=complex)     # series of num/den_reduced
-        for i in range(m):
-            acc = a[i] - sum(b[j] * h[i - j] for j in range(1, i + 1))
-            h[i] = acc / b[0]
-        for k in range(1, m + 1):
-            c = h[m - k]
-            if c != 0:
-                terms.append((z, k, c))
-    return terms, poly_part
+    terms, poly = f._parts()
+    return ([(z, k, c) for z, cs in terms for k, c in enumerate(cs, 1) if c != 0],
+            Poly(np.array(poly, dtype=complex)))
 
 
 def residue(f, pole):
     """Order-1 Laurent coefficient of f at the given pole (0 if not a pole)."""
-    terms, _ = partial_fractions(f)
-    tol = _CLUSTER * (1.0 + abs(pole))
-    for z, k, c in terms:
-        if k == 1 and abs(z - complex(pole)) <= tol:
-            return c
-    return 0j
+    terms, _ = f._parts()
+    i = _match([z for z, _ in terms], complex(pole))
+    return terms[i][1][0] if i >= 0 else 0j
 
 
 def pv_integral(f):
@@ -626,50 +837,78 @@ def pv_integral(f):
     pole c/(x-z) contributes c*pi*i*sign(Im z); higher-order terms integrate
     to zero.
     """
-    if f.is_zero:
-        return 0j
-    if f.decay_order < 1:
+    terms, poly = f._parts()
+    if poly:
         raise ValueError("integrand does not decay at infinity")
-    if any(p.half_plane == REAL for p in f.poles):
+    if _real_pole(terms):
         raise ValueError("principal value at real pole unsupported here")
-    terms, _ = partial_fractions(f)
-    return sum((c * np.pi * 1j * np.sign(z.imag) for z, k, c in terms if k == 1), 0j)
+    return sum((cs[0] * (np.pi * 1j if z.imag > 0 else -np.pi * 1j) for z, cs in terms), 0j)
 
 
 def cauchy_transform(f, lam):
     """Cauchy/Borel transform: integral of f(t)/(t - lam) dt, lam off the axis.
 
-    Residue evaluation: 2*pi*i times the residues of f(t)/(t-lam) in the upper
-    half-plane (the lam pole participates exactly when Im lam > 0).
+    Closing the contour above gives
+    2 pi i [sum over poles z with Im z > 0 of (-1)^(k-1) c/(z - lam)^k
+    + [Im lam > 0] f(lam)], which is 2 pi i f_lower(lam) for Im lam > 0 and
+    -2 pi i f_upper(lam) for Im lam < 0, f_lower and f_upper the principal
+    parts at the poles below and above the axis.  lam may be an array.
     """
-    lam = complex(lam)
-    if abs(lam.imag) < REAL_BAND:
+    scalar = not isinstance(lam, np.ndarray)
+    lam = complex(lam) if scalar else np.asarray(lam, dtype=complex)
+    if np.any(np.abs(lam.imag) < REAL_BAND):
         raise ValueError("cauchy_transform needs Im(lam) != 0; use hardy.boundary_value")
     if f.is_zero:
-        return 0j
+        return 0j if scalar else np.zeros(lam.shape, dtype=complex)
     if not f.is_L2:
         raise ValueError("cauchy_transform requires an L2 rational function")
-    for p in f.poles:
-        if abs(p.location - lam) <= _CLUSTER * (1.0 + abs(lam)):
+    for z, _ in f._parts()[0]:
+        if np.any(abs(z - lam) <= _CLUSTER * (1.0 + abs(lam))):
             raise ValueError("lam coincides with a pole of f")
-    g = f / RatFun(Poly([-lam, 1.0]))
-    terms, _ = partial_fractions(g)
-    return 2j * np.pi * sum((c for z, k, c in terms if k == 1 and z.imag > REAL_BAND), 0j)
+    if scalar:
+        if lam.imag > 0:
+            return 2j * np.pi * f.principal_part("lower")(lam)
+        return -2j * np.pi * f.principal_part("upper")(lam)
+    return np.where(lam.imag > 0, 2j * np.pi * f.principal_part("lower")(lam),
+                    -2j * np.pi * f.principal_part("upper")(lam))
 
 
 def inner_product(f, g):
-    """L2 pairing <f, g> = integral of f * conj(g) over the real line (residues)."""
+    """L2 pairing <f, g> = integral of f * conj(g) over the real line.
+
+    For principal parts without polynomial parts this is the double sum over
+    pole pairs (z of f, v of conj_reflect(g)) on opposite sides of the axis:
+    2 pi i sign(Im z) Res_z [c/(x-z)^j d/(x-v)^l]
+    = 2 pi i sign(Im z) c d (-1)^(j-1) C(j+l-2, j-1) / (z - v)^(j+l-1).
+    Pairs on one side contribute nothing (their two residues cancel).
+    """
     if f.is_zero or g.is_zero:
         return 0j
-    h = f * conj_reflect(g)
-    if h.is_zero:
-        return 0j
-    if h.decay_order < 2:
-        raise ValueError("product does not decay like x^-2; pairing undefined")
-    if any(p.half_plane == REAL for p in h.poles):
+    gb = conj_reflect(g)
+    ta, pa = f._parts()
+    tb, pb = gb._parts()
+    if _real_pole(ta) or _real_pole(tb):
         raise ValueError("shared real singularity")
-    terms, _ = partial_fractions(h)
-    return 2j * np.pi * sum((c for z, k, c in terms if k == 1 and z.imag > REAL_BAND), 0j)
+    if pa or pb:
+        h = f * gb
+        if h.decay_order < 2:
+            raise ValueError("product does not decay like x^-2; pairing undefined")
+        return 2j * np.pi * sum((cs[0] for z, cs in h._parts()[0] if z.imag > 0), 0j)
+    total = 0j
+    for z, ca in ta:
+        up = z.imag > 0
+        for v, cb in tb:
+            if (v.imag > 0) == up:
+                continue
+            r = 1.0 / (z - v)
+            for j, c in enumerate(ca, 1):
+                sign = 1.0 if (j % 2 == 1) == up else -1.0    # sign(Im z) (-1)^(j-1)
+                for l, d in enumerate(cb, 1):
+                    binom = 1.0                               # C(j+l-2, j-1)
+                    for t in range(1, j):
+                        binom = binom * (l - 1 + t) / t
+                    total += sign * binom * c * d * r ** (j + l - 1)
+    return 2j * np.pi * total
 
 
 def l2_norm(f):

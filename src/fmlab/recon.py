@@ -43,10 +43,8 @@ class ReconError(RuntimeError):
 
 
 def _times_linear(f, lam):
-    """(x - lam) * f; the constructor cancels the factor against a pole at lam."""
-    if f.is_zero:
-        return RatFun.zero()
-    return RatFun(f.num * Poly([-lam, 1.0]), f.den, den_roots=f._den_roots)
+    """(x - lam) * f; a pole of f at lam drops out by the cancellation rule."""
+    return f * RatFun(Poly([-lam, 1.0]))
 
 
 def _c_normalized(u):

@@ -214,6 +214,9 @@ def _xi_eval(data, t):
     return out
 
 
+_PAIR_BLOCK = 1 << 16     # candidate segment pairs tested per numpy pass
+
+
 def _segment_intersections(ts, pts):
     """Transversal self-crossings of the polyline, by bucketed segment tests."""
     a = pts[:-1]
@@ -226,31 +229,29 @@ def _segment_intersections(ts, pts):
     for i in range(n):
         keys.setdefault((int(mids[i].real / cell), int(mids[i].imag / cell)),
                         []).append(i)
-    pairs_i, pairs_j = [], []
+    found = []
     for (kx, ky), idx in keys.items():
         near = list(idx)
         for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
             near += keys.get((kx + dx, ky + dy), [])
-        ii = np.array(idx)
-        jj = np.array(near)
-        gi, gj = np.meshgrid(ii, jj, indexing="ij")
-        mask = gj > gi + 1
-        pairs_i.append(gi[mask])
-        pairs_j.append(gj[mask])
-    if not pairs_i:
-        return ()
-    i = np.concatenate(pairs_i)
-    j = np.concatenate(pairs_j)
-    # vectorized segment-crossing test
-    ri, rj = r[i], r[j]
-    den = (ri * np.conj(rj)).imag
-    ok = np.abs(den) > 1e-15
-    i, j, ri, rj, den = i[ok], j[ok], ri[ok], rj[ok], den[ok]
-    q = a[j] - a[i]
-    t = (q * np.conj(rj)).imag / den
-    u = (q * np.conj(ri)).imag / den
-    hit = (t > 1e-9) & (t < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
-    found = a[i][hit] + t[hit] * ri[hit]
+        near = np.array(near)
+        # the candidate pairs of a block of the bucket's segments at a time,
+        # at most _PAIR_BLOCK of them; only the crossings are kept
+        rows = max(1, _PAIR_BLOCK // near.size)
+        for s in range(0, len(idx), rows):
+            gi, gj = np.meshgrid(np.array(idx[s:s + rows]), near, indexing="ij")
+            mask = gj > gi + 1
+            i, j = gi[mask], gj[mask]
+            # vectorized segment-crossing test
+            ri, rj = r[i], r[j]
+            den = (ri * np.conj(rj)).imag
+            ok = np.abs(den) > 1e-15
+            i, j, ri, rj, den = i[ok], j[ok], ri[ok], rj[ok], den[ok]
+            q = a[j] - a[i]
+            t = (q * np.conj(rj)).imag / den
+            u = (q * np.conj(ri)).imag / den
+            hit = (t > 1e-9) & (t < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
+            found.extend((a[i][hit] + t[hit] * ri[hit]).tolist())
     merged = []
     for p in found:
         if all(abs(p - q0) > 1e-6 * (1 + abs(p)) for q0 in merged):

@@ -500,6 +500,60 @@ def test_sperp_residual_refuses_without_probes():
         sperp_residual(MOD_RC, PiecewiseFun.indicator(2.6, 3.5), mus=())
 
 
+# rational phi = 1/(x - i) (phibar = 1/(x + i)) with piecewise psi = 1[0, 1]
+MOD_MIXED = PiecewiseModel(RatFun.simple_pole(1j), PiecewiseFun.indicator(0, 1), 0.0)
+MIXED_KS = (0.05, 0.3, 0.5, 0.71, 0.95)
+
+
+def test_mixed_product_pieces():
+    phibar = conj_reflect(MOD_MIXED.phi)
+    prod = piecewise_product(MOD_MIXED.psi, phibar)
+    ((p,),) = (prod.pieces,)
+    assert (p.a, p.b, p.kind) == (0.0, 1.0, "rational-restriction")
+    assert piecewise_product(phibar, MOD_MIXED.psi).pieces == prod.pieces
+    xs = np.array([-0.5, 0.2, 0.9, 1.5])
+    assert np.array_equal(prod(xs), np.where((xs >= 0) & (xs <= 1), phibar(xs), 0))
+    # rational restriction times rational: one restriction with the product
+    r = piecewise_product(PiecewiseFun.restriction(phibar, 0.0, 2.0), phibar)
+    assert r(0.7) == pytest.approx(complex(phibar(0.7)) ** 2, rel=1e-14)
+    with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
+        piecewise_product(phibar, PSI_PW)
+
+
+def test_mixed_data_jump_matches_principal_value():
+    phibar = conj_reflect(MOD_MIXED.phi)
+    prod = piecewise_product(MOD_MIXED.psi, phibar)
+    for k in MIXED_KS:
+        jr = mb_jump(MOD_MIXED, k)
+        assert np.isfinite(jr.jump_Minv) and jr.rank == 1
+        # Plemelj: D jumps by 2 pi i psi(k) phibar(k) on the support
+        dj = boundary_value(prod, k, "+") - boundary_value(prod, k, "-")
+        assert dj == pytest.approx(2j * PI * complex(phibar(k)), abs=1e-12)
+    mp = pytest.importorskip("mpmath")
+
+    def pv(g, k):
+        # p.v. int_0^1 g(t)/(t - k) dt, by mpmath
+        smooth = mp.quad(lambda t: (g(t) - g(k)) / (t - k), [0, k, 1])
+        return smooth + g(k) * mp.log((1 - k) / k)
+
+    def fb(t):
+        return 1 / (t + 1j)
+
+    for k in MIXED_KS:
+        with mp.workdps(40):
+            k = mp.mpf(k)
+            minv = {}
+            for s in (1, -1):
+                D = 1 + pv(fb, k) + s * 1j * mp.pi * fb(k)
+                ph = pv(lambda t: 1, k) + s * 1j * mp.pi
+                # phibar's only pole is at -i: its transform is 2 pi i phibar(k)
+                # from above and 0 from below
+                fh = 2j * mp.pi * fb(k) if s > 0 else 0
+                minv[s] = s * 1j * mp.pi - ph * fh / D
+            want = complex(minv[1] - minv[-1])
+        assert abs(mb_jump(MOD_MIXED, float(k)).jump_Minv - want) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # real-root criterion for quadratic continuations
 # ---------------------------------------------------------------------------

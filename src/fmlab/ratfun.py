@@ -245,7 +245,9 @@ def poly_roots(p):
     Eigenvalues of the companion matrix (backward stable, Edelman-Murakami),
     then one vectorized Newton step per root, kept where it lowers |p|; close
     roots are merged by the relative clustering radius widened by each root's
-    first-order error radius.  Degree 1 and 2 use closed forms.
+    first-order error radius.  Degree 1 and 2 use closed forms.  A merged
+    m-fold root, which the eigenvalues place only to about eps^(1/m), takes
+    one Newton step on the (m-1)-th derivative, where it is a simple root.
     """
     if not isinstance(p, Poly):
         p = Poly(p)
@@ -262,18 +264,23 @@ def poly_roots(p):
         disc = np.sqrt(complex(b * b - 4 * a * cc))
         # stable quadratic formula
         q = -(b + disc) / 2 if abs(b + disc) >= abs(b - disc) else -(b - disc) / 2
-        if q == 0:
-            r1 = r2 = 0j
-        else:
-            r1, r2 = q / a, cc / q
-        return _cluster([complex(r1), complex(r2)], _root_errs(c, [r1, r2]))
-    x = companion_roots(c[:-1] / c[-1])
-    dc = npp.polyder(c)
+        x = [0j, 0j] if q == 0 else [q / a, cc / q]
+    else:
+        x = _newton_step(c, companion_roots(c[:-1] / c[-1]))
+    out = []
+    for z, m in _cluster([complex(v) for v in x], _root_errs(c, x)):
+        if m > 1:
+            z = complex(_newton_step(npp.polyder(c, m - 1), z))
+        out.append((z, m))
+    return out
+
+
+def _newton_step(c, x):
+    """One Newton step for the roots x of c, kept where it lowers |c(x)|."""
     px = npp.polyval(x, c)
-    dpx = npp.polyval(x, dc)
+    dpx = npp.polyval(x, npp.polyder(c))
     y = x - px / np.where(dpx == 0, 1.0, dpx)
-    x = np.where((dpx != 0) & (np.abs(npp.polyval(y, c)) < np.abs(px)), y, x)
-    return _cluster([complex(v) for v in x], _root_errs(c, x))
+    return np.where((dpx != 0) & (np.abs(npp.polyval(y, c)) < np.abs(px)), y, x)
 
 
 def companion_roots(lower):

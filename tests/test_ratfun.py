@@ -374,9 +374,11 @@ def test_clustered_poles_of_the_resolvent_property_case():
 def test_near_cancellation_drops_the_pole():
     # f - f' with f' = f up to rounding: every coefficient cancels
     f = build([(1 + 1j, 2, 0.3 - 2j), (-0.5 - 0.7j, 1, 1.1)])
-    # the same function from coefficients, equal up to rounding
+    # the same function from coefficients, equal up to rounding, with the
+    # denominator roots given or found (a double root)
     g = RatFun(f.num, f.den, den_roots=[(1 + 1j, 2), (-0.5 - 0.7j, 1)])
     assert (f - g).is_zero
+    assert (f - RatFun(f.num, f.den)).is_zero
     assert (f - (7.0 * f) * (1 / 7.0)).is_zero
     # a zero of one factor on a pole of the other cancels in the product
     h = RatFun.simple_pole(-2j) * RatFun(Poly([2j, 1.0])) * RatFun.simple_pole(3j)
@@ -388,7 +390,10 @@ def test_poly_roots_double_and_clustered():
     p = poly_from_roots([1 + 2j, 1 + 2j, -3, 0.5j])
     got = sorted(poly_roots(p), key=lambda t: (t[0].real, t[0].imag))
     assert [m for _, m in got] == [1, 1, 2]
-    assert got[2][0] == pytest.approx(1 + 2j, abs=1e-7)
+    # the merged root is polished on p', where it is simple
+    assert got[2][0] == pytest.approx(1 + 2j, abs=1e-13)
+    ((z, m),) = [t for t in poly_roots(poly_from_roots([0.7] * 3 + [2j])) if t[1] > 1]
+    assert m == 3 and abs(z - 0.7) < 1e-12
     # roots 1e-3 apart stay distinct and accurate
     p = poly_from_roots([1.0, 1.001, -2j, 3.0, 0.2 - 0.1j])
     got = poly_roots(p)

@@ -24,14 +24,14 @@ numerator, division by a non-constant rational function).
 
 Cancellation rule
 -----------------
-Each computed coefficient carries the sum of the moduli of the terms it was
-summed from.  The leading Laurent coefficient at a pole is exactly zero when
-its modulus is at most ``_TRIM_REL`` times the largest such sum among that
-pole's coefficients: it is then rounding noise, the order drops, and a pole
-whose coefficients all vanish is removed.  The top coefficient of the
+Where an operation sums terms into a coefficient, it also sums their moduli.
+The leading Laurent coefficient at a pole is exactly zero when its modulus
+is at most ``_TRIM_REL`` times the largest such sum among that pole's
+coefficients: it is then rounding noise, the order drops, and a pole whose
+coefficients all vanish is removed.  The top coefficient of the
 polynomial part is trimmed the same way (as ``Poly`` trims its top
-coefficient), and the decay order at infinity is the first coefficient of
-the expansion at infinity that is not zero by the same rule.
+coefficient), and the decay order is the index of the first coefficient of
+the expansion at infinity that the same rule does not zero.
 
 Conventions
 -----------
@@ -296,12 +296,21 @@ def companion_roots(lower):
 
 
 def _root_errs(c, x):
-    """First-order backward-error radii for computed roots of c."""
+    """Error radii for computed roots x of c: over the derivative orders k,
+    the smallest d with |c^(k)(x)| d^k / k! at 4 times the rounding floor of
+    c(x).  Order 1 is the first-order radius of a simple root; an exact
+    multiple root, where c'(x) = 0, takes its radius from higher orders."""
     x = np.asarray(x, dtype=complex)
-    dc = npp.polyder(np.asarray(c, dtype=complex))
-    floor = 8.0 * np.finfo(float).eps * npp.polyval(np.abs(x), np.abs(np.asarray(c)))
-    dp = np.abs(npp.polyval(x, dc))
-    return list(4.0 * floor / np.maximum(dp, 1e-300))
+    c = np.asarray(c, dtype=complex)
+    floor = 32.0 * np.finfo(float).eps * npp.polyval(np.abs(x), np.abs(c))
+    out = np.full(x.shape, np.inf)
+    fact = 1.0
+    for k in range(1, c.size):
+        c = npp.polyder(c)
+        fact *= k
+        dk = np.maximum(np.abs(npp.polyval(x, c)), 1e-300)
+        out = np.minimum(out, (fact * floor / dk) ** (1.0 / k))
+    return list(out)
 
 
 # ---------------------------------------------------------------------------

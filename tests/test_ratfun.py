@@ -6,7 +6,7 @@ quadrature) and then frozen.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fmlab.ratfun import (
     Poly, RatFun, DegreeCapError, poly_roots, poly_from_roots, conj_reflect,
@@ -56,6 +56,8 @@ def test_degree_cap():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
                                    allow_infinity=False), min_size=1, max_size=6))
+# an eigenvalue exactly on the double root, where p' = 0
+@example([2.1967315445797678e-36, 2.1576703679118765j, 2.1576703679118765j])
 def test_roots_reconstruct(roots):
     p = poly_from_roots(roots, lead=2.0 - 1j)
     got = poly_roots(p)
@@ -244,20 +246,19 @@ def build(terms):
     return out
 
 
-def random_terms(rng, n, spread=2.0):
+def random_terms(rng, n):
     """n poles of order 1 or 2, at least 0.3 off the axis."""
     out = []
     for _ in range(n):
-        z = complex(rng.uniform(-spread, spread),
+        z = complex(rng.uniform(-2, 2),
                     (0.3 + rng.uniform(0, 1.5)) * (1 if rng.random() < 0.5 else -1))
         out.append((z, int(rng.integers(1, 3)), complex(rng.normal(), rng.normal())))
     return out
 
 
-def mp_value(mp, terms, x, poly=()):
+def mp_value(mp, terms, x):
     x = mp.mpc(x)
-    return (sum(mp.mpc(c) / (x - mp.mpc(z)) ** k for z, k, c in terms)
-            + sum(mp.mpc(a) * x ** i for i, a in enumerate(poly)))
+    return sum(mp.mpc(c) / (x - mp.mpc(z)) ** k for z, k, c in terms)
 
 
 XS = (-3.1, -0.7, 0.0, 0.45, 1.3, 2.9, 7.5, -42.0)
@@ -275,7 +276,7 @@ def oracle_cases(seed):
     rng = np.random.default_rng(seed)
     tf = random_terms(rng, int(rng.integers(1, 4)))
     tg = random_terms(rng, int(rng.integers(1, 3)))
-    z, k, _ = tf[0]
+    z = tf[0][0]
     tg.append((z, int(rng.integers(1, 3)), complex(rng.normal(), rng.normal())))
     if seed % 2:
         tg.append((z + 0.06 * np.exp(2j * PI * rng.random()), 1,

@@ -584,7 +584,7 @@ class RatFun:
         if pf is None:
             num, den, roots = self._src
             if den.degree == 0:
-                pf = (), tuple((num.coeffs / den.coeffs[0]).tolist()) if not num.is_zero else ()
+                pf = (), tuple((num.coeffs / den.coeffs[0]).tolist())
             else:
                 roots = poly_roots(den) if roots is None else [(complex(z), m) for z, m in roots]
                 pf = _pf_from_coeffs(num, den, roots)

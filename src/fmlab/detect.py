@@ -29,10 +29,11 @@ import numpy.polynomial.polynomial as npp
 from .ratfun import (
     Poly, RatFun, REAL_BAND, _CLUSTER, _TRIM_REL, cauchy_transform,
     companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
+    pv_integral,
 )
 from .hardy import (
     QuadratureError, boundary_value, cauchy_transform_num,
-    factorize_rational, piecewise_product, quad_gk, quad_real_line, riesz_split,
+    factorize_rational, piecewise_product, quad_gk, riesz_split,
 )
 from .friedrichs import FriedrichsModel
 
@@ -129,45 +130,58 @@ def _phibar_of(f):
     return conj_reflect(f) if isinstance(f, RatFun) else f
 
 
-def _hat(f, lam):
-    """int f(t)/(t - lam) dt for rational or piecewise f, lam off the axis."""
+def _hat(f, lam, power=1):
+    """int f(t)/(t - lam)^power dt for rational or piecewise f, lam off the
+    axis; power 2 is the lam-derivative of the transform."""
     if isinstance(f, RatFun):
-        return cauchy_transform(f, lam)
-    return cauchy_transform_num(f, lam)
+        if power == 1:
+            return cauchy_transform(f, lam)
+        s = RatFun.simple_pole(lam)
+        return pv_integral(f * s * s)
+    return cauchy_transform_num(f, lam, power=power)
 
 
-def _support_quad(pw, g, lam):
-    """int pw(t) g(t)/(t - lam) over the support of the piecewise factor."""
+def _support_quad(pw, g, lam, power=1):
+    """int pw(t) g(t)/(t - lam)^power over the support of the piecewise factor."""
     total = 0j
     for a, b in pw.support:
-        total += quad_gk(lambda t: pw(t) * g(t) / (t - lam), a, b)
+        total += quad_gk(lambda t: pw(t) * g(t) / (t - lam) ** power, a, b)
     return total
 
 
-def _hat_product(a, b, lam):
-    """int a(t) b(t)/(t - lam) dt, mixed rational/piecewise."""
+def _hat_product(a, b, lam, power=1):
+    """int a(t) b(t)/(t - lam)^power dt, mixed rational/piecewise, the
+    product never formed."""
     ra, rb = isinstance(a, RatFun), isinstance(b, RatFun)
     if ra and rb:
-        return cauchy_transform(a * b, lam)
+        return _hat(a * b, lam, power)
     if not ra:
-        return _support_quad(a, b, lam)
-    return _support_quad(b, a, lam)
+        return _support_quad(a, b, lam, power)
+    return _support_quad(b, a, lam, power)
+
+
+def _d_hat(phi, psi, lam, power=1):
+    """int psi phibar/(t - lam)^power: D - 1 at power 1, D' at power 2.
+
+    Rational data multiplies in closed form.  Any piecewise factor makes
+    psi phibar one piecewise function (`piecewise_product`, which also takes
+    a rational factor); disjoint supports give no pieces, so exactly D = 1.
+    Only an overlap that is none of the piece kinds integrates the two
+    factors.
+    """
+    phibar = _phibar_of(phi)
+    if isinstance(phi, RatFun) and isinstance(psi, RatFun):
+        return _hat(psi * phibar, lam, power)
+    try:
+        prod = piecewise_product(psi, phibar)
+    except ValueError:
+        return _hat_product(psi, phibar, lam, power)
+    return cauchy_transform_num(prod, lam, power=power)
 
 
 def _d_at(phi, psi, lam):
     """Perturbation determinant 1 + int psi phibar/(t - lam)."""
-    phibar = _phibar_of(phi)
-    if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-        return 1.0 + cauchy_transform(psi * phibar, lam)
-    if not isinstance(psi, RatFun) and not isinstance(phi, RatFun):
-        try:
-            prod = piecewise_product(psi, phibar)
-        except ValueError:
-            pass    # no piece kind for this overlap: integrate the two factors
-        else:
-            # disjoint supports give a product without pieces: exactly D = 1
-            return 1.0 + cauchy_transform_num(prod, lam)
-    return 1.0 + _hat_product(psi, phibar, lam)
+    return 1.0 + _d_hat(phi, psi, lam)
 
 
 def _l2_of(g):
@@ -707,21 +721,33 @@ def _model_m(model, lam):
     return 1.0 / bracket, D, ph, fh
 
 
-def _kernel_callable(model, mu, f=1.0):
-    """Kernel element u = S_{mu,B} f as a plain callable, with gamma_2."""
-    phi, psi = model.phi, model.psi
-    M, D, _, fh = _model_m(model, mu)
-    g2 = M * complex(f)
-    coef = fh / D
-
-    def u(t):
-        return g2 * (1.0 - coef * np.asarray(psi(t), dtype=complex)) / (t - mu)
-
-    return u, g2
+# |a - b| below which the divided differences of _kernel_pairing become
+# derivatives at the midpoint: rounding in a difference quotient grows like
+# eps/|a - b| and the midpoint rule errs by |a - b|^2, which balance at eps^(1/3)
+_CONFLUENT_REL = 6e-6
 
 
-def _pair_l2(F, v):
-    return quad_real_line(lambda t: F(t) * np.conj(v(t)))
+def _kernel_pairing(model, a, b, at_a, at_b, c, c_t):
+    """int (1 - c psi)(1 - c_t phibar)/((t - a)(t - b)) dt over the axis,
+    quadrature-free; at_a and at_b are the `_model_m` tuples at a and b.
+
+    It is the pairing <u, v> of the kernel elements u = (1 - c psi)/(t - a)
+    of the model and v = (1 - conj(c_t) phi)/(t - conj(b)) of the
+    adjoint-side model, without their gamma_2 factors.  Each term is
+    int h/((t - a)(t - b)) = (hhat(a) - hhat(b))/(a - b): for h = 1 the
+    difference is i pi (sgn Im a - sgn Im b), for h = psi phibar it is
+    D(a) - D(b).  Where a and b nearly coincide in one half-plane, each
+    divided difference is the derivative int h/(t - m)^2 at their midpoint m.
+    """
+    if abs(a - b) <= _CONFLUENT_REL * (1.0 + abs(a)) and a.imag * b.imag > 0:
+        phi, psi = model.phi, model.psi
+        m = 0.5 * (a + b)
+        return (-c * _hat(psi, m, 2) - c_t * _hat(_phibar_of(phi), m, 2)
+                + c * c_t * _d_hat(phi, psi, m, 2))
+    _, Da, pha, fha = at_a
+    _, Db, phb, fhb = at_b
+    one = 1j * PI * (np.sign(a.imag) - np.sign(b.imag))
+    return (one - c * (pha - phb) - c_t * (fha - fhb) + c * c_t * (Da - Db)) / (a - b)
 
 
 def _neville_zero(xs, ys):
@@ -752,6 +778,9 @@ def jump_rank_check(model, k, fs, ws, mus, mu_ts,
                  / ((mu - lam)(conj(mu_t) - lam)),
 
     which needs only scalar transforms, so it applies to piecewise data too.
+    <F, v> itself is a combination of divided differences of the transforms
+    of psi, phibar and psi phibar between mu and conj(mu_t)
+    (`_kernel_pairing`), so no entry needs quadrature over the axis.
     The jump matrix at k is Richardson-extrapolated over the eps ladder and
     its numerical rank compared with that of [M](k) f_i conj(w_j).
     """
@@ -764,42 +793,36 @@ def jump_rank_check(model, k, fs, ws, mus, mu_ts,
     rows = [(i, l) for i in range(len(fs)) for l in range(len(mus))]
     cols = [(j, nu) for j in range(len(ws)) for nu in range(len(mu_ts))]
 
-    # lam-independent data
-    Fdata = {}
-    for i, l in rows:
-        if fs[i] == 0:
-            Fdata[(i, l)] = None
-            continue
-        F, _ = _kernel_callable(model, mus[l], fs[i])
-        Fdata[(i, l)] = F
-    vdata = {}
-    for j, nu in cols:
-        if ws[j] == 0:
-            vdata[(j, nu)] = None
-            continue
-        v, g2t = _kernel_callable(tm, mu_ts[nu], ws[j])
-        vdata[(j, nu)] = (v, g2t)
+    # lam-independent data: the kernel element S_{mu,B} f = g2 (1 - c psi)
+    # /(t - mu) has g2 = M(mu) f and c = phibarhat(mu)/D(mu), and the
+    # adjoint-side element v likewise; then the pairings <F, v>
+    at_mu = [_model_m(model, mu) for mu in mus]
+    at_bs = [_model_m(model, np.conj(mu_t)) for mu_t in mu_ts]
+    kern_t = []
+    for mu_t in mu_ts:
+        Mt, Dt, _, fht = _model_m(tm, mu_t)
+        kern_t.append((Mt, np.conj(fht / Dt)))
     pair0 = {}
-    for r in rows:
-        for c in cols:
-            if Fdata[r] is None or vdata[c] is None:
-                pair0[(r, c)] = 0j
-            else:
-                pair0[(r, c)] = _pair_l2(Fdata[r], vdata[c][0])
+    for i, l in rows:
+        for j, nu in cols:
+            if fs[i] == 0 or ws[j] == 0:
+                continue
+            M, D, _, fh = at_mu[l]
+            Mt, c_t = kern_t[nu]
+            pair0[(i, l, j, nu)] = M * fs[i] * np.conj(Mt * ws[j]) * _kernel_pairing(
+                model, mus[l], np.conj(mu_ts[nu]), at_mu[l], at_bs[nu], fh / D, c_t)
 
     def bordered(lam):
         Mv, _, _, _ = _model_m(model, lam)
         out = np.zeros((len(rows), len(cols)), dtype=complex)
-        for a, r in enumerate(rows):
-            i, l = r
-            for b, c in enumerate(cols):
-                j, nu = c
-                if Fdata[r] is None or vdata[c] is None:
+        for a, (i, l) in enumerate(rows):
+            for b, (j, nu) in enumerate(cols):
+                if (i, l, j, nu) not in pair0:
                     continue
                 mtc = np.conj(mu_ts[nu])
-                val = (pair0[(r, c)] * (mtc - lam)
+                val = (pair0[(i, l, j, nu)] * (mtc - lam)
                        - Mv * fs[i] * np.conj(ws[j])
-                       + fs[i] * np.conj(vdata[c][1]))
+                       + fs[i] * np.conj(kern_t[nu][0] * ws[j]))
                 out[a, b] = val / ((mus[l] - lam) * (mtc - lam))
         return out
 
@@ -883,8 +906,9 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
 
     script-M(k) = (P_plus phibar)(k) psi(k) - P_plus(psi phibar)(k); its
     2 pi i multiple is the boundary curve of the exceptional set in the
-    1/alpha plane.  Rational data uses Riesz projections in closed form,
-    piecewise data one-sided boundary values.
+    1/alpha plane.  Rational data uses Riesz projections in closed form;
+    data with a piecewise factor (the other may be rational) one-sided
+    boundary values of phibar and of the piecewise product psi phibar.
     """
     phi, psi = model.phi, model.psi
     phibar = _phibar_of(phi)
@@ -896,8 +920,6 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
         script = pb_plus * psi - pr_plus
         vals = script(ks)
     else:
-        if isinstance(phi, RatFun) or isinstance(psi, RatFun):
-            raise ValueError("mixed rational and piecewise data are unsupported here")
         prod = piecewise_product(psi, phibar)
 
         def pplus(f, k):

@@ -1,9 +1,13 @@
 """Hardy-space machinery: Riesz projections, boundary values, quadrature, Blaschke products.
 
-The rational paths are closed-form (partial fractions / residues); piecewise
-data goes through adaptive Gauss-Kronrod quadrature with singularity
-subtraction at principal-value points.  One-sided boundary values follow the
-Sokhotski-Plemelj convention
+The rational paths are closed-form (partial fractions / residues).  Piecewise
+data is summed piece by piece: indicator pieces are closed form, since
+int_a^b dt/(t - lam) = log((b - lam)/(a - lam)); the other pieces go through
+adaptive Gauss-Kronrod quadrature, with the value at lam subtracted where
+the integrand is near-singular (principal-value points, and
+reciprocal-cauchy-of pieces next to lam).  ``quad_gk`` also serves as the
+independent oracle of the closed forms in the tests.  One-sided boundary
+values follow the Sokhotski-Plemelj convention
 
     fhat(k +- i0) = p.v. int f(t)/(t-k) dt  +-  i*pi*f(k).
 """
@@ -242,6 +246,48 @@ def riesz_split(f):
     return f.principal_part("lower"), f.principal_part("upper")
 
 
+def _log_ratio(a, b, lam):
+    """log((b - lam)/(a - lam)), the integral of dt/(t - lam) over [a, b],
+    for lam off [a, b] (complex, or real outside the interval).
+
+    Where the ratio is near 1 (lam far from [a, b]) the logarithm is
+    log1p(x) with x = (b - a)/(a - lam): its real part through the real
+    log1p of |1 + x|^2 - 1, so the value keeps its relative accuracy at
+    large |lam|.  Otherwise the ratio itself, accurate next to the interval.
+    """
+    x = (b - a) / (a - lam)
+    if abs(x) < 0.5:
+        return complex(0.5 * np.log1p(2 * x.real + abs(x) ** 2),
+                       np.arctan2(x.imag, 1 + x.real))
+    return complex(np.log((b - lam) / (a - lam)))
+
+
+def _piece_transform(p, lam, tol=1e-9, power=1):
+    """Integral of p(t)/(t - lam)^power over the piece, lam off [p.a, p.b].
+
+    An indicator is closed form: log((b - lam)/(a - lam)), and for power 2
+    (the lam-derivative) 1/(a - lam) - 1/(b - lam), written as
+    (b - a)/((a - lam)(b - lam)) so that it does not cancel far from the
+    interval.  A reciprocal-cauchy-of piece p = 1/log((ib - z)/(ia - z)) is
+    analytic off [ia, ib], so for lam off the axis and within one interval
+    length of the piece its value p(lam) is subtracted: the integrand of
+    int (p(t) - p(lam))/(t - lam) dt is bounded, and p(lam) log((b - lam)/
+    (a - lam)) restores the rest (exact for any constant).  Everything else
+    is plain quadrature.
+    """
+    a, b = p.a, p.b
+    if p.kind == "indicator":
+        return _log_ratio(a, b, lam) if power == 1 else (b - a) / ((a - lam) * (b - lam))
+    gap = max(a - lam.real, 0.0, lam.real - b)
+    if (p.kind == "reciprocal-cauchy-of" and power == 1 and lam.imag != 0
+            and abs(complex(gap, lam.imag)) < b - a):
+        ia, ib = p.payload
+        v = 1.0 / np.log((ib - lam) / (ia - lam))
+        return (quad_gk(lambda t: (p.evaluate(t) - v) / (t - lam), a, b, tol=tol)
+                + v * _log_ratio(a, b, lam))
+    return quad_gk(lambda t: p.evaluate(t) / (t - lam) ** power, a, b, tol=tol)
+
+
 def boundary_value(f, k, side="+"):
     """One-sided Cauchy-transform boundary value fhat(k +- i0).
 
@@ -249,9 +295,12 @@ def boundary_value(f, k, side="+"):
     with f = f0 + f_lower + f_upper, f0 the value at infinity and f_lower,
     f_upper the principal parts below and above the axis,
     fhat(k + i0) = 2 pi i f_lower(k) + pi i f0 and
-    fhat(k - i0) = -2 pi i f_upper(k) - pi i f0.  Piecewise inputs use
-    quadrature with the logarithmic kernel integrated analytically on the
-    singular piece.
+    fhat(k - i0) = -2 pi i f_upper(k) - pi i f0.  Piecewise inputs sum
+    their pieces.  On the piece that holds k the principal value is
+    f(k) log((b - k)/(k - a)) plus the integral of the bounded
+    (f(t) - f(k))/(t - k), which an indicator does not need.  Pieces off k
+    are ordinary integrals, closed form for indicators (see
+    ``cauchy_transform_num``).
     """
     k = float(k)
     sgn = 1.0 if side in ("+", +1) else -1.0
@@ -271,44 +320,45 @@ def boundary_value(f, k, side="+"):
     for p in f.pieces:
         if abs(k - p.a) < 1e-12 or abs(k - p.b) < 1e-12:
             raise ValueError("boundary value at a piece endpoint")
-        if p.a < k < p.b:
-            fk = complex(p.evaluate(np.array([k]))[0])
-            fk_ = fk
+        if not p.a < k < p.b:
+            pv += _piece_transform(p, k)
+            continue
+        fk = complex(p.evaluate(np.array([k]))[0])
+        pv += fk * np.log((p.b - k) / (k - p.a))
+        if p.kind == "indicator":
+            continue
 
-            def sub(t, p=p, fk_=fk_):
-                t = np.asarray(t, dtype=float)
-                d = t - k
-                sing = np.abs(d) < 1e-12 * (1.0 + abs(k))
-                vals = (p.evaluate(t) - fk_) / np.where(sing, 1.0, d)
-                if sing.any():
-                    h = 1e-7 * (1.0 + abs(k))
-                    slope = (p.evaluate(np.array([k + h]))[0]
-                             - p.evaluate(np.array([k - h]))[0]) / (2 * h)
-                    vals = np.where(sing, slope, vals)
-                return vals
+        def sub(t, p=p, fk=fk):
+            t = np.asarray(t, dtype=float)
+            d = t - k
+            sing = np.abs(d) < 1e-12 * (1.0 + abs(k))
+            vals = (p.evaluate(t) - fk) / np.where(sing, 1.0, d)
+            if sing.any():
+                h = 1e-7 * (1.0 + abs(k))
+                slope = (p.evaluate(np.array([k + h]))[0]
+                         - p.evaluate(np.array([k - h]))[0]) / (2 * h)
+                vals = np.where(sing, slope, vals)
+            return vals
 
-            pv += quad_gk(sub, p.a, p.b)
-            pv += fk * np.log((p.b - k) / (k - p.a))
-        else:
-            def reg(t, p=p):
-                return p.evaluate(t) / (t - k)
-
-            pv += quad_gk(reg, p.a, p.b)
+        pv += quad_gk(sub, p.a, p.b)
     return pv + sgn * 1j * np.pi * fk
 
 
-def cauchy_transform_num(f, lam, tol=1e-9):
-    """Quadrature Cauchy transform of a piecewise function at lam off the support."""
+def cauchy_transform_num(f, lam, tol=1e-9, power=1):
+    """Cauchy transform int f(t)/(t - lam)^power dt of a piecewise function.
+
+    power is 1 (the transform) or 2 (its lam-derivative); lam is off the
+    support, or for power 1 within REAL_BAND of the axis, where the value is
+    the principal value (the mean of the two boundary values).  Indicator
+    pieces are closed form, reciprocal-cauchy-of pieces near lam subtract
+    their value at lam, and the rest is adaptive quadrature.
+    """
     lam = complex(lam)
     if abs(lam.imag) < REAL_BAND:
+        if power != 1:
+            raise ValueError("derivative of the transform on the axis")
         return boundary_value(f, lam.real, "+") - 1j * np.pi * complex(f(lam.real))
-    total = 0j
-    for p in f.pieces:
-        def g(t, p=p):
-            return p.evaluate(t) / (t - lam)
-
-        total += quad_gk(g, p.a, p.b, tol=tol)
-    return total
+    return sum((_piece_transform(p, lam, tol, power) for p in f.pieces), 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fmlab.ratfun import (
     Poly, RatFun, poly_from_roots, poly_roots, conj_reflect, inner_product,
     l2_norm,
 )
-from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
+from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product, quad_real_line
 from fmlab.friedrichs import FriedrichsModel, tilde_model
 from fmlab import detect
 from fmlab.detect import (
@@ -552,6 +552,121 @@ def test_mixed_data_jump_matches_principal_value():
                 minv[s] = s * 1j * mp.pi - ph * fh / D
             want = complex(minv[1] - minv[-1])
         assert abs(mb_jump(MOD_MIXED, float(k)).jump_Minv - want) < 1e-8
+
+
+def test_mixed_determinant_takes_the_product_path(monkeypatch):
+    models = (MOD_MIXED, PiecewiseModel(PiecewiseFun.indicator(0.0, 1.0),
+                                        RatFun.simple_pole(-1j, 0.5), 0.0))
+    lams = (0.3 + 1e-3j, 0.7 - 1e-4j, 0.5 - 0.2j, -2.0 + 1.0j, 1.5 + 0.01j)
+    # the two factors integrated without forming their product
+    want = [1.0 + detect._hat_product(m.psi, detect._phibar_of(m.phi), lam)
+            for m in models for lam in lams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mixed data integrated factor by factor")
+
+    monkeypatch.setattr(detect, "_hat_product", refuse)
+    got = [_d_at(m.phi, m.psi, lam) for m in models for lam in lams]
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_symbol_curve_mixed_data():
+    # MOD_MIXED: phibar = 1/(t + i), psi = 1[0, 1]
+    sc = symbol_M_curve(MOD_MIXED, halfwidth=2.0, n=8)
+    inside = (sc.ks > 0) & (sc.ks < 1)
+    assert 0 < inside.sum() < sc.ks.size
+    for k, v in zip(sc.ks[~inside], sc.values[~inside]):
+        # psi(k) = 0: minus int_0^1 dt/((t + i)(t - k)), by partial fractions
+        want = -(np.log((1 - k) / (0 - k)) - np.log(1 - 1j)) / (k + 1j)
+        assert abs(v - want) < 1e-9 * abs(want)
+    mp = pytest.importorskip("mpmath")
+
+    def fb(t):
+        return 1 / (t + 1j)
+
+    with mp.workdps(30):
+        for k, v in zip(sc.ks[inside], sc.values[inside]):
+            k = mp.mpf(k)
+            pv = (mp.quad(lambda t: (fb(t) - fb(k)) / (t - k), [0, k, 1])
+                  + fb(k) * mp.log((1 - k) / k))
+            # phibar's pole is below the axis: phibarhat(k + i0) = 2 pi i phibar(k)
+            want = complex(2j * mp.pi * fb(k) - (pv + 1j * mp.pi * fb(k)))
+            assert abs(v - want) < 1e-9 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# quadrature-free pairing of kernel elements in jump_rank_check
+# ---------------------------------------------------------------------------
+
+MOD_RAT = FriedrichsModel(RatFun.simple_pole(2j),
+                          RatFun(Poly([1.0, 1.0]), poly_from_roots([-1.5j, 1 + 1j])),
+                          0.3 - 0.2j)
+# phi with poles on both sides of the axis: no pairing vanishes identically
+MOD_RAT2 = FriedrichsModel(RatFun.simple_pole(2j) + RatFun.simple_pole(-1 - 1.3j, 0.7),
+                           MOD_RAT.psi, 0.3 - 0.2j)
+
+# rational phibar = 1/(x + i) times the reciprocal-cauchy-of psi is no piece
+# kind: D and its derivative integrate the two factors
+MOD_RC_RAT = PiecewiseModel(RatFun.simple_pole(1j), PSI_PW, 0.0)
+
+
+def _pairing_inputs(model, mu, mu_t):
+    """(b, at_a, at_b, c, c_t) of _kernel_pairing as jump_rank_check forms them."""
+    tm = PiecewiseModel(model.psi, model.phi, np.conj(model.B))
+    b = np.conj(mu_t)
+    at_a, at_b = detect._model_m(model, mu), detect._model_m(model, b)
+    _, Dt, _, fht = detect._model_m(tm, mu_t)
+    return b, at_a, at_b, at_a[3] / at_a[1], np.conj(fht / Dt)
+
+
+def _pairing_by_quadrature(model, a, b, at_a, at_b, c, c_t):
+    """int (1 - c psi)(1 - c_t conj(phi))/((t - a)(t - b)) over the axis."""
+    def h(t):
+        psi = np.asarray(model.psi(t), dtype=complex)
+        phic = np.conj(np.asarray(model.phi(t), dtype=complex))
+        return (1 - c * psi) * (1 - c_t * phic) / ((t - a) * (t - b))
+    return quad_real_line(h, tol=1e-11)
+
+
+PAIRING_CASES = [
+    (MOD_RAT, 0.5 + 1j, 1.2j), (MOD_RAT, -1j, 1.2j), (MOD_RAT, -1j, -1.7j),
+    (MOD_RAT2, -1j, 1.2j), (MOD_RAT2, 0.5 + 1j, -0.8j), (MOD_RAT2, -0.3 - 2j, 1.2j),
+    (MOD_PW, 1j, 1.5j), (MOD_PW, -1j, 1.5j), (MOD_PW, 0.4 + 1j, -1.5j),
+    (MOD_OV, 1j, 1.5j), (MOD_OV, 0.25 - 0.5j, 1.5j), (MOD_OV, 0.75 + 0.3j, 2 - 0.5j),
+    (MOD_MIXED, 0.5 + 1j, 1.5j), (MOD_RC_RAT, 1j, 1.5j),
+    # confluent: mu = conj(mu_t), and 1e-7 apart
+    (MOD_RAT, -1j, 1j), (MOD_RAT2, -1j, 1j), (MOD_RAT2, 0.5 + 1j, 0.5 - 1j),
+    (MOD_PW, 1j, -1j), (MOD_OV, 0.25 + 0.5j, 0.25 - 0.5j),
+    (MOD_PW, 1j, -1j + 1e-7), (MOD_OV, 1j, 1e-7 - 1j), (MOD_RC_RAT, 2.5 + 1j, 2.5 - 1j),
+]
+
+
+@pytest.mark.parametrize("model, mu, mu_t", PAIRING_CASES)
+def test_kernel_pairing_matches_quadrature(model, mu, mu_t):
+    b, at_a, at_b, c, c_t = _pairing_inputs(model, mu, mu_t)
+    got = detect._kernel_pairing(model, mu, b, at_a, at_b, c, c_t)
+    want = _pairing_by_quadrature(model, mu, b, at_a, at_b, c, c_t)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_jump_rank_check_with_quadrature_pairing(monkeypatch):
+    cases = [(MOD_RAT, 0.4, [0.5 + 1j, -1j], [1.2j]), (MOD_RAT2, 0.4, [0.5 + 1j, -1j], [1.2j]),
+             (MOD_PW, 0.5, [1j], [1.5j]), (MOD_OV, 0.25, [1j], [1.5j])]
+    got = [jump_rank_check(m, k, fs=[1.0], ws=[1.0], mus=mus, mu_ts=mts)
+           for m, k, mus, mts in cases]
+    monkeypatch.setattr(detect, "_kernel_pairing", _pairing_by_quadrature)
+    for (m, k, mus, mts), rc in zip(cases, got):
+        ref = jump_rank_check(m, k, fs=[1.0], ws=[1.0], mus=mus, mu_ts=mts)
+        assert (rc.resolved, rc.rank_resolvent, rc.rank_M) == \
+            (ref.resolved, ref.rank_resolvent, ref.rank_M)
+        assert np.max(np.abs(rc.jump_matrix - ref.jump_matrix)) < 1e-7
+
+
+def test_jump_rank_check_confluent_pairing():
+    # oracle: the same check with every <F, v> by quad_real_line quadrature
+    rc = jump_rank_check(MOD_PW, 0.4, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[-1j])
+    assert rc.resolved and rc.equal and (rc.rank_resolvent, rc.rank_M) == (1, 1)
+    assert abs(rc.jump_matrix[0, 0] - (-0.19536067945651306 - 0.20512871342953104j)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

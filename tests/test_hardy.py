@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fmlab import hardy
 from fmlab.ratfun import Poly, RatFun, poly_from_roots, poly_roots, conj_reflect
 from fmlab.hardy import (
     _CHUNK, _NODES, _WEIGHTS, PiecewiseFun, QuadratureError, blaschke_build,
@@ -245,6 +246,106 @@ def test_piecewise_plemelj():
     k = 0.37
     jump = boundary_value(chi, k, "+") - boundary_value(chi, k, "-")
     assert jump == pytest.approx(2j * PI, abs=1e-9)
+
+
+# indicator transforms in closed form: lam = k +- i eps next to the support,
+# near each endpoint, and far out, against 40-digit mpmath logarithms
+IND = (-0.7, 1.3)
+INDS = (IND, (0.3, 0.31))      # the short one: the ratio is 1 + 1e-6 at 1e4
+
+
+def _ind_ks(a, b):
+    w = b - a
+    return (-1e4, a - 2.3, a - 1e-7, a + 1e-7, a + 0.01 * w, a + 0.5 * w,
+            b - 0.01 * w, b - 1e-7, b + 1e-7, b + 1.2, 1e4)
+
+
+def _no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad_gk called on a closed-form path")
+    monkeypatch.setattr(hardy, "quad_gk", refuse)
+
+
+@pytest.mark.parametrize("a, b", INDS)
+def test_indicator_transform_matches_mpmath(monkeypatch, a, b):
+    mp = pytest.importorskip("mpmath")
+    _no_quadrature(monkeypatch)
+    chi = PiecewiseFun.indicator(a, b)
+    lams = [complex(k, s * e) for k in _ind_ks(a, b) for e in (1e-3, 1e-6, 1e-8)
+            for s in (1, -1)]
+    lams += [1e4j, -1e4j, 3e3 - 7e3j]
+    with mp.workdps(40):
+        for lam in lams:
+            z = mp.mpc(lam.real, lam.imag)
+            # a, b and lam off the segment: the two principal logs do not cross a cut
+            want = complex(mp.log(b - z) - mp.log(a - z))
+            got = cauchy_transform_num(chi, lam)
+            assert abs(got - want) <= 1e-12 * abs(want), lam
+            dwant = complex(1 / (a - z) - 1 / (b - z))
+            dgot = cauchy_transform_num(chi, lam, power=2)
+            assert abs(dgot - dwant) <= 1e-12 * abs(dwant), lam
+
+
+def test_indicator_transform_branch_against_quadrature():
+    # the closed form is the integral itself, on both sides of the axis
+    chi = PiecewiseFun.indicator(*IND)
+    for lam in (0.3 + 0.2j, 0.3 - 0.2j, -0.69 + 0.05j, 2.5 - 1j, -4 + 3j):
+        want = quad_gk(lambda t: 1 / (t - lam), *IND, tol=1e-11)
+        assert abs(cauchy_transform_num(chi, lam) - want) < 1e-10
+
+
+@pytest.mark.parametrize("a, b", INDS)
+def test_indicator_boundary_value_matches_mpmath(monkeypatch, a, b):
+    mp = pytest.importorskip("mpmath")
+    _no_quadrature(monkeypatch)
+    chi = PiecewiseFun.indicator(a, b)
+    with mp.workdps(40):
+        for k in _ind_ks(a, b):
+            inside = a < k < b
+            for s, side in ((1, "+"), (-1, "-")):
+                pv = mp.log(abs((b - mp.mpf(k)) / (a - mp.mpf(k))))
+                want = complex(pv + (s * 1j * mp.pi if inside else 0))
+                got = boundary_value(chi, k, side)
+                assert abs(got - want) <= 1e-12 * abs(want), (k, side)
+                # the boundary value is the limit of the transform
+                if min(abs(k - a), abs(k - b)) > 1e-2:
+                    near = cauchy_transform_num(chi, complex(k, s * 1e-8))
+                    assert abs(near - got) < 1e-5 * abs(got), (k, side)
+
+
+RC = PiecewiseFun.reciprocal_cauchy((0.0, 1.0), (2.0, 3.0))
+
+
+def test_reciprocal_cauchy_subtracted_transform_matches_quadrature():
+    (p,) = RC.pieces
+    lams = [complex(k, s * e) for k in (2.0001, 2.5, 2.62, 2.999) for e in (1e-3, 1e-6)
+            for s in (1, -1)]
+    lams += [2.5 + 0.7j, 1.6 - 0.3j, 3.4 + 0.2j, 0.5 + 0.5j, 40 - 3j]
+    for lam in lams:
+        # plain quadrature of p(t)/(t - lam) on panels graded geometrically
+        # towards the peak of the integrand
+        k = min(max(lam.real, 2.0), 3.0)
+        cuts = sorted({2.0, 3.0, k} | {c for m in range(9) for c in (k - 10.0 ** -m, k + 10.0 ** -m)
+                                       if 2.0 < c < 3.0})
+        want = sum(quad_gk(lambda t: p.evaluate(t) / (t - lam), lo, hi, tol=1e-12)
+                   for lo, hi in zip(cuts, cuts[1:]))
+        got = cauchy_transform_num(RC, lam)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), lam
+
+
+def test_reciprocal_cauchy_subtraction_keeps_integrand_bounded(monkeypatch):
+    # next to the support the subtracted integrand is smooth: a few panels
+    points = []
+    quad = hardy.quad_gk
+
+    def counting(f, a, b, **kw):
+        return quad(lambda t: (points.append(t.size), f(t))[1], a, b, **kw)
+
+    monkeypatch.setattr(hardy, "quad_gk", counting)
+    for lam in (2.5 + 1e-6j, 2.0001 - 1e-6j, 2.999 + 1e-8j):
+        points.clear()
+        cauchy_transform_num(RC, lam)
+        assert sum(points) <= 15 * 8, lam
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,12 @@ Routes to the defect number dim S-perp:
 
 * root counting for data in the upper Hardy class: the meromorphic
   continuation D_plus of the perturbation determinant is rational, and the
-  defect is N - P - M - M0 (pole count of psi minus pole/root orders of
-  phibar/D_plus below and on the axis, minus degenerate data poles);
+  defect is N - P - M - M0 (pole count of psi minus the roots of D_plus
+  below and on the axis that neither sit at a data pole nor cancel against
+  a zero of phibar, minus degenerate data poles).  For the family
+  (phi, alpha psi) the roots are the eigenvalues of one monic pencil, and
+  one classification (`_classify`) counts one model (`defect_hardy_plus`)
+  and any number of alphas (`pencil_defects`) alike;
 * the Toeplitz route for data in the lower Hardy class: the defect is the
   number of lower-half-plane zeros of the shifted symbol a - mu_alpha,
   i.e. the Blaschke degree of its inner factor;
@@ -27,7 +31,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .ratfun import (
-    Poly, RatFun, REAL_BAND, _CLUSTER, _TRIM_REL, cauchy_transform,
+    Poly, RatFun, REAL_BAND, _CLUSTER, cauchy_transform,
     companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
     pv_integral,
 )
@@ -55,12 +59,10 @@ _PHIBAR_ZERO_TOL = 1e-10
 _M0_LIMIT_TOL = 1e-8
 _RANK_SV_REL = 1e-6
 _RESIDUE_CUT = 1e-13      # psi residues at or below this are dropped
-# Margin of the batched count in pencil_defects.  Near the axis, a data pole
-# or a lower zero of phibar (within this distance relative to 1 + |z|),
-# near the residue cut or near ratfun's coefficient trim (within this
-# factor), defect_hardy_plus bands, excludes, cancels, drops or trims roots
-# that the bare count keeps; such cells are left to defect_hardy_plus.
-_PENCIL_GUARD = 1e-6
+
+# classes of a root of the continued determinant (see _root_classes)
+_P, _M, _UPPER, _EXCLUDED, _CANCELLED = range(5)
+_CLASS_NAMES = ("P", "M", "UPPER", "EXCLUDED", "CANCELLED")
 
 
 @dataclass(frozen=True)
@@ -150,38 +152,26 @@ def _support_quad(pw, g, lam, power=1):
 
 
 def _hat_product(a, b, lam, power=1):
-    """int a(t) b(t)/(t - lam)^power dt, mixed rational/piecewise, the
-    product never formed."""
-    ra, rb = isinstance(a, RatFun), isinstance(b, RatFun)
-    if ra and rb:
-        return _hat(a * b, lam, power)
-    if not ra:
-        return _support_quad(a, b, lam, power)
-    return _support_quad(b, a, lam, power)
+    """int a(t) b(t)/(t - lam)^power dt for rational or piecewise a and b.
 
-
-def _d_hat(phi, psi, lam, power=1):
-    """int psi phibar/(t - lam)^power: D - 1 at power 1, D' at power 2.
-
-    Rational data multiplies in closed form.  Any piecewise factor makes
-    psi phibar one piecewise function (`piecewise_product`, which also takes
-    a rational factor); disjoint supports give no pieces, so exactly D = 1.
-    Only an overlap that is none of the piece kinds integrates the two
-    factors.
+    Rational factors multiply in closed form.  Any piecewise factor makes
+    a b one piecewise function (`piecewise_product`, which also takes a
+    rational factor); disjoint supports give no pieces, so exactly 0.  Only
+    an overlap that is none of the piece kinds integrates the two factors.
     """
-    phibar = _phibar_of(phi)
-    if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-        return _hat(psi * phibar, lam, power)
+    if isinstance(a, RatFun) and isinstance(b, RatFun):
+        return _hat(a * b, lam, power)
     try:
-        prod = piecewise_product(psi, phibar)
+        prod = piecewise_product(a, b)
     except ValueError:
-        return _hat_product(psi, phibar, lam, power)
+        pw, g = (b, a) if isinstance(a, RatFun) else (a, b)
+        return _support_quad(pw, g, lam, power)
     return cauchy_transform_num(prod, lam, power=power)
 
 
 def _d_at(phi, psi, lam):
     """Perturbation determinant 1 + int psi phibar/(t - lam)."""
-    return 1.0 + _d_hat(phi, psi, lam)
+    return 1.0 + _hat_product(psi, _phibar_of(phi), lam)
 
 
 def _l2_of(g):
@@ -227,7 +217,7 @@ def _hardy_plus_poles(model):
     zs = [z for z, _ in pole_data]
     if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
         raise ValueError("psi poles must be distinct")
-    return pole_data, zs
+    return pole_data
 
 
 def continuation_terms(model):
@@ -281,89 +271,106 @@ def pencil_roots(pencil, alphas):
     return companion_roots(P[:-1] + 2j * PI * alphas * Q)
 
 
+def _zeros(f):
+    """Zeros of a RatFun with multiplicities: the roots of its numerator."""
+    return poly_roots(f.num) if f.num.degree >= 1 else []
+
+
+def _root_classes(roots, zs, zeros):
+    """Class of each root (array, last axis the roots of one alpha) of the
+    continued determinant, with data poles zs and phibar zeros (z, m).
+
+    A root within _CLUSTER of a zero of phibar cancels against it, each zero
+    taking at most its multiplicity of roots.  Of the others, a root within
+    REAL_BAND of the axis is M, one above the band UPPER, one within
+    _CLUSTER of a data pole EXCLUDED, and every other one P.
+    """
+    near_pole = np.any(np.abs(roots[..., None] - zs)
+                       <= _CLUSTER * (1.0 + np.abs(zs)), axis=-1)
+    cls = np.select([np.abs(roots.imag) < REAL_BAND, roots.imag > 0, near_pole],
+                    [_M, _UPPER, _EXCLUDED], _P)
+    for zeta, m in zeros:
+        hit = (cls != _CANCELLED) & (np.abs(roots - zeta) <= _CLUSTER * (1.0 + abs(zeta)))
+        cls[hit & (np.cumsum(hit, axis=-1) <= m)] = _CANCELLED
+    return cls
+
+
+def _classify(model, alphas):
+    """Classify the continued determinant of (phi, alpha psi) for each alpha.
+
+    The roots are the eigenvalues of the monic pencil P + 2 pi i alpha Q
+    (`alpha_pencil`, `pencil_roots`), classed by `_root_classes`.  A psi pole
+    z_k is live when |alpha c_k| is above the residue cut; N counts the live
+    poles.  A live pole is M0 where |phibar(z_k)| <= _PHIBAR_ZERO_TOL and
+    the limit 2 pi i alpha c_k phibar'(z_k)/D_k(z_k) is not 1, with D_k the
+    continued determinant without its k-th term (D_plus itself has a pole
+    at z_k).
+
+    Returns (zs, roots, cls, live, m0, unit): data poles (n,), roots and
+    classes (len(alphas), n), and masks (len(alphas), n) of the live, the M0
+    and the degenerate-but-unit-limit data poles.
+    """
+    pole_data = _hardy_plus_poles(model)
+    pencil = alpha_pencil(model)
+    zs = pencil[0]
+    cs = np.array([c for _, c in pole_data], dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
+    phibar = conj_reflect(model.phi)
+    roots = pencil_roots(pencil, alphas)
+    cls = _root_classes(roots, zs, _zeros(phibar))
+    live = np.abs(alphas * cs) > _RESIDUE_CUT
+    m0 = np.zeros(live.shape, dtype=bool)
+    unit = np.zeros(live.shape, dtype=bool)
+    pz = phibar(zs)
+    for k in np.flatnonzero(np.abs(pz) <= _PHIBAR_ZERO_TOL):
+        others = np.arange(len(zs)) != k
+        rest = (live[:, others] * (cs * pz)[others]) @ (1.0 / (zs[k] - zs[others]))
+        limit = 2j * PI * alphas[:, 0] * cs[k] * _rat_deriv_at(phibar, zs[k]) \
+            / (1.0 + 2j * PI * alphas[:, 0] * rest)
+        off = np.abs(limit - 1.0) > _M0_LIMIT_TOL
+        m0[:, k] = live[:, k] & off
+        unit[:, k] = live[:, k] & ~off
+    return zs, roots, cls, live, m0, unit
+
+
 def pencil_defects(model, alphas):
     """defect_hardy_plus(phi, alpha psi).defect for many alphas at once.
 
-    Counts N - #{Im r < -REAL_BAND} over the pencil roots r of each alpha.
-    Entries are -1 in the _PENCIL_GUARD cells, where that count may differ
-    from defect_hardy_plus; those need defect_hardy_plus itself.  Raises
-    ValueError for models where no alpha can be counted this way: psi poles
-    repeated, not distinct or with a dropped residue, data in the wrong
-    half-plane, or phibar vanishing at a data pole.
+    One `_classify` call: N - P - M - M0 for each alpha.  Entries are -1 for
+    a degenerate alpha, one with a root in the real band (and for a count
+    that comes out negative).  Raises ValueError for a model the
+    upper-Hardy route refuses: psi poles repeated or not distinct, or data
+    in the wrong half-plane.
     """
-    pole_data, _ = _hardy_plus_poles(model)
-    if len(pole_data) != len(model.psi.poles):
-        raise ValueError("psi has a pole with a negligible residue")
-    pencil = alpha_pencil(model)
-    zs, P, Q = pencil
-    phibar = conj_reflect(model.phi)
-    if any(abs(phibar(z)) <= _PHIBAR_ZERO_TOL for z in zs):
-        raise ValueError("phibar vanishes at a data pole")
-    zeros = poly_roots(phibar.num) if phibar.num.degree >= 1 else []
-    lower_zeros = np.array([z for z, _ in zeros if z.imag < 0], dtype=complex)
-    c_min = min((abs(c) for _, c in pole_data), default=0.0)
-
-    alphas = np.asarray(alphas, dtype=complex).ravel()
-    roots = pencil_roots(pencil, alphas)
-
-    def near(points):
-        dist = np.abs(roots[:, :, None] - points)
-        return np.any(dist <= _PENCIL_GUARD * (1.0 + np.abs(points)), axis=(1, 2))
-
-    near_axis = np.any(
-        np.abs(roots.imag) <= _PENCIL_GUARD * (1.0 + np.abs(roots)), axis=1)
-    near_cut = np.abs(alphas) * c_min <= _RESIDUE_CUT / _PENCIL_GUARD
-    # a bound on the largest numerator coefficient; the leading one is 1
-    top = np.max(np.abs(P)) + 2 * PI * np.abs(alphas) * np.max(np.abs(Q), initial=0.0)
-    near_trim = top * _TRIM_REL >= _PENCIL_GUARD
-    guarded = near_axis | near(zs) | near(lower_zeros) | near_cut | near_trim
-    return np.where(guarded, -1, len(zs) - np.sum(roots.imag < -REAL_BAND, axis=1))
+    _, _, cls, live, m0, _ = _classify(model, alphas)
+    defect = live.sum(1) - np.sum((cls == _P) | (cls == _M), axis=1) - m0.sum(1)
+    return np.where(np.any(cls == _M, axis=1) | (defect < 0), -1, defect)
 
 
 def defect_hardy_plus(model):
     """Defect number for data in the upper Hardy class, by root counting.
 
-    N counts the psi poles; P and M the lower/real pole orders of
-    phibar/D_plus away from the data poles; M0 the degenerate data poles
-    (phibar vanishing there without restoring the unit limit).
+    N counts the psi poles; P and M the roots of the continued determinant
+    D_plus below and on the axis, less those at a data pole or cancelled by
+    a zero of phibar; M0 the degenerate data poles (phibar vanishing there
+    without restoring the unit limit).  `_classify` at alpha = 1; the roots
+    of the report are the classified roots with their class, then the M0
+    data poles.
     """
-    pole_data, zs = _hardy_plus_poles(model)
-    N = len(pole_data)
-    phibar = conj_reflect(model.phi)
-    dp = d_plus(model)
-    g0 = phibar / dp
-    P = M = 0
-    roots = []
-    degenerate = False
-    notes = []
-    for p in g0.poles:
-        near_data = any(abs(p.location - z) <= _CLUSTER * (1 + abs(z)) for z in zs)
-        if p.half_plane == "UPPER":
-            roots.append((p.location, "UPPER"))
-        elif p.half_plane == "REAL":
-            M += p.order
-            degenerate = True
-            roots.append((p.location, "M"))
-        elif near_data:
-            notes.append(f"continuation pole at data pole {p.location:.6g}")
-            roots.append((p.location, "EXCLUDED"))
-        else:
-            P += p.order
-            roots.append((p.location, "P"))
-    M0 = 0
-    for z, c in pole_data:
-        if abs(phibar(z)) <= _PHIBAR_ZERO_TOL:
-            limit = 2j * PI * c * _rat_deriv_at(phibar, z) / complex(dp(z))
-            if abs(limit - 1.0) > _M0_LIMIT_TOL:
-                M0 += 1
-                roots.append((z, "M0"))
-            else:
-                notes.append(f"data pole {z:.6g} degenerate but unit limit")
+    zs, roots, cls, live, m0, unit = _classify(model, [1.0])
+    roots, cls = roots[0].tolist(), cls[0]
+    N, M0 = int(live.sum()), int(m0.sum())
+    P, M = int(np.sum(cls == _P)), int(np.sum(cls == _M))
+    notes = [f"continuation pole at data pole {r:.6g}"
+             for r, c in zip(roots, cls) if c == _EXCLUDED]
+    notes += [f"data pole {z:.6g} degenerate but unit limit" for z in zs[unit[0]]]
     defect = N - P - M - M0
     if defect < 0:
         raise RuntimeError(f"negative defect {defect}: classification failed")
-    return DefectReport(N, P, M, M0, defect, tuple(roots), "HARDY_PLUS",
-                        degenerate, tuple(notes))
+    classified = [(r, _CLASS_NAMES[c]) for r, c in zip(roots, cls)]
+    classified += [(complex(z), "M0") for z in zs[m0[0]]]
+    return DefectReport(N, P, M, M0, defect, tuple(classified), "HARDY_PLUS",
+                        M > 0, tuple(notes))
 
 
 def sperp_basis(model, report=None):
@@ -383,12 +390,12 @@ def sperp_basis(model, report=None):
     if report.defect == 0:
         return []
     phibar = conj_reflect(model.phi)
-    dp = d_plus(model)
-    g0 = phibar / dp
+    g0 = phibar / d_plus(model)
+    zs = np.array([z for z, _ in pole_data], dtype=complex)
+    locs = np.array([p.location for p in g0.poles], dtype=complex)
     rows = []
-    for p in g0.poles:
-        if any(cls in ("P", "M") and abs(z - p.location) < 1e-12
-               for z, cls in report.roots):
+    for p, cls in zip(g0.poles, _root_classes(locs, zs, _zeros(phibar))):
+        if cls in (_P, _M):
             for m in range(1, p.order + 1):
                 rows.append([c / (p.location - z) ** m for z, c in pole_data])
     for z, cls in report.roots:
@@ -743,7 +750,7 @@ def _kernel_pairing(model, a, b, at_a, at_b, c, c_t):
         phi, psi = model.phi, model.psi
         m = 0.5 * (a + b)
         return (-c * _hat(psi, m, 2) - c_t * _hat(_phibar_of(phi), m, 2)
-                + c * c_t * _d_hat(phi, psi, m, 2))
+                + c * c_t * _hat_product(psi, _phibar_of(phi), m, 2))
     _, Da, pha, fha = at_a
     _, Db, phb, fhb = at_b
     one = 1j * PI * (np.sign(a.imag) - np.sign(b.imag))

@@ -126,33 +126,15 @@ class ScanGrid:
 
 
 def _alpha_of(plane, w, conv):
-    """alpha at the cell coordinate w, or None at the origin of a reciprocal plane."""
-    if plane in ("INV_ALPHA", "MU") and abs(w) < 1e-12:
-        return None
+    """alpha at the cell coordinates w (an array), nan at the origin of a
+    reciprocal plane."""
     if plane == "ALPHA":
         return w
-    if plane == "INV_ALPHA":
-        return 1.0 / w
-    if plane == "MU":
-        return 1.0 / (2j * PI * w)
     if plane == "MU_HAT":
         return w * conv / (2j * PI)
-    raise ValueError(f"plane must be one of {PLANES}")
-
-
-def _cell_defect(phi, psi_unit, B, plane, w, conv):
-    alpha = _alpha_of(plane, w, conv)
-    if alpha is None:
-        return -1, UNRESOLVED
-    if abs(alpha) < 1e-14:
-        return 0, OK       # psi degenerates to zero: everything detectable
-    try:
-        rep = defect_hardy_plus(FriedrichsModel(phi, psi_unit * alpha, B))
-    except (ValueError, RuntimeError):
-        return -1, UNRESOLVED
-    if rep.degenerate:
-        return -1, UNRESOLVED
-    return rep.defect, OK
+    origin = np.abs(w) < 1e-12
+    w = np.where(origin, 1.0, w)
+    return np.where(origin, np.nan, 1.0 / (w if plane == "INV_ALPHA" else 2j * PI * w))
 
 
 def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
@@ -160,8 +142,10 @@ def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
 
     grid = (x0, x1, y0, y1, nx, ny); plane maps the cell coordinate w to alpha
     (ALPHA: w, INV_ALPHA: 1/w, MU: 1/(2 pi i w), MU_HAT: w*conv/(2 pi i)).
-    All cells are counted at once on the alpha pencil; the cells it leaves
-    open, or every cell of a model it refuses, go through defect_hardy_plus.
+    The cells with alpha != 0 are counted in one `pencil_defects` call.
+    UNRESOLVED marks the origin of a reciprocal plane, a degenerate cell (a
+    root of the continued determinant on the real axis), and every cell
+    with alpha != 0 of a model the upper-Hardy route refuses.
     """
     if plane not in PLANES:
         raise ValueError(f"plane must be one of {PLANES}")
@@ -169,19 +153,15 @@ def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
     nx, ny = int(nx), int(ny)
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
-    ws = [complex(x, y) for y in ys for x in xs]
-    phi, psi_unit, B = model.phi, model.psi, model.B
-    conv = complex(conv)
-    alphas = [_alpha_of(plane, w, conv) for w in ws]
-    live = [n for n, alpha in enumerate(alphas) if alpha is not None]
-    defects = np.full(len(ws), -1)
+    alphas = _alpha_of(plane, (xs + 1j * ys[:, None]).ravel(), complex(conv))
+    # alpha = 0: alpha psi vanishes and everything is detectable
+    defects = np.where(np.abs(alphas) < 1e-14, 0, -1)
+    live = np.flatnonzero(np.abs(alphas) >= 1e-14)      # not the nan origins
     try:
-        defects[live] = pencil_defects(model, [alphas[n] for n in live])
+        defects[live] = pencil_defects(model, alphas[live])
     except ValueError:
-        pass    # a model the pencil refuses: every cell goes through _cell_defect
-    flags = np.full(len(ws), OK, dtype=object)
-    for n in np.flatnonzero(defects < 0):
-        defects[n], flags[n] = _cell_defect(phi, psi_unit, B, plane, ws[n], conv)
+        pass    # a model the upper-Hardy route refuses: no cell is resolved
+    flags = np.where(defects < 0, UNRESOLVED, OK).astype(object)
     return ScanGrid(plane, (x0, x1, y0, y1), nx, ny,
                     defects.reshape(ny, nx), flags.reshape(ny, nx))
 

@@ -182,6 +182,20 @@ def test_pencil_roots_are_d_plus_zeros(model, alpha):
         assert np.min(np.abs(roots - z)) < 1e-10
 
 
+def test_root_classes_one_rule():
+    # data poles -i and -2i; phibar zeros: -0.5 - 0.5i simple, 0.3 + 0.2i double
+    zs = np.array([-1j, -2j])
+    zeros = [(-0.5 - 0.5j, 1), (0.3 + 0.2j, 2)]
+    roots = np.array([
+        [1 - 1e-10j, 1 + 1j, -1j + 1e-9, -0.5 - 0.5j, -0.5 - 0.5j + 1e-9],
+        [0.3 + 0.2j, 0.3 + 0.2j + 1e-9, 0.3 + 0.2j - 1e-9j, 0.5 - 2j, -2j - 1e-7],
+    ])
+    names = [[detect._CLASS_NAMES[c] for c in row]
+             for row in detect._root_classes(roots, zs, zeros)]
+    assert names == [["M", "UPPER", "EXCLUDED", "CANCELLED", "P"],
+                     ["CANCELLED", "CANCELLED", "UPPER", "P", "P"]]
+
+
 # ---------------------------------------------------------------------------
 # realizability of all defect pairs (d, d-tilde) in {0,1,2}^2
 # ---------------------------------------------------------------------------
@@ -444,7 +458,7 @@ MOD_RC = PiecewiseModel(PiecewiseFun.indicator(2.5, 4.0), PSI_PW, 0.0)
 
 def _d_by_factors(model, lam):
     """1 + int psi phibar/(t - lam) over psi's support, product never formed."""
-    return 1.0 + detect._hat_product(model.psi, model.phi, lam)
+    return 1.0 + detect._support_quad(model.psi, model.phi, lam)
 
 
 def test_overlap_indicator_with_reciprocal_cauchy_off_axis(monkeypatch):
@@ -558,14 +572,16 @@ def test_mixed_determinant_takes_the_product_path(monkeypatch):
     models = (MOD_MIXED, PiecewiseModel(PiecewiseFun.indicator(0.0, 1.0),
                                         RatFun.simple_pole(-1j, 0.5), 0.0))
     lams = (0.3 + 1e-3j, 0.7 - 1e-4j, 0.5 - 0.2j, -2.0 + 1.0j, 1.5 + 0.01j)
-    # the two factors integrated without forming their product
-    want = [1.0 + detect._hat_product(m.psi, detect._phibar_of(m.phi), lam)
+    # the two factors integrated over the piecewise one's support, without
+    # forming their product
+    want = [1.0 + detect._support_quad(*sorted(
+        (m.psi, detect._phibar_of(m.phi)), key=lambda f: isinstance(f, RatFun)), lam)
             for m in models for lam in lams]
 
     def refuse(*args, **kwargs):
         raise AssertionError("mixed data integrated factor by factor")
 
-    monkeypatch.setattr(detect, "_hat_product", refuse)
+    monkeypatch.setattr(detect, "_support_quad", refuse)
     got = [_d_at(m.phi, m.psi, lam) for m in models for lam in lams]
     assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 

@@ -1,4 +1,5 @@
-"""Every name a module of src/fmlab imports is used in it, or exported by __all__."""
+"""Every name a module of src/fmlab imports is used in it, or exported by
+__all__; every module-level private name is used somewhere in src/fmlab."""
 import ast
 import pathlib
 
@@ -37,3 +38,51 @@ def test_unused_import_scan_sees_names_and_all():
     source = ("import os\nimport numpy as np\nfrom a import b, c\n"
               "from d import e\n__all__ = ['e']\nnp.zeros(b)\n")
     assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+def _bound_names(stmt):
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources):
+    """(module, name) of the module-level private names (a leading _, not a
+    dunder) that no source refers to outside the statement defining them;
+    sources maps module names to source text."""
+    stmts = [(mod, stmt) for mod, text in sources.items()
+             for stmt in ast.parse(text).body]
+    refs = []
+    for _, stmt in stmts:
+        names = set()
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.update(a.name for a in n.names)
+        refs.append(names)
+    out = []
+    for i, (mod, stmt) in enumerate(stmts):
+        for name in _bound_names(stmt):
+            if (name.startswith("_") and not name.endswith("__")
+                    and not any(name in r for j, r in enumerate(refs) if j != i)):
+                out.append((mod, name))
+    return sorted(out)
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_scan_sees_uses_across_modules():
+    sources = {"a": ("_X = 1\n_Y: int = 2\n_U = 3\n\n\ndef _f():\n"
+                     "    return _f()\n\n\ndef g():\n    return _X\n\n\n"
+                     "class _C:\n    pass\n"),
+               "b": "from a import _Y\nimport a\n_W, _V = a._U, 2\nprint(_V)\n__all__ = []\n"}
+    assert unreferenced_private_names(sources) == [("a", "_C"), ("a", "_f"), ("b", "_W")]

@@ -5,13 +5,14 @@ import os
 import numpy as np
 import pytest
 
-from fmlab.ratfun import REAL_BAND, Poly, RatFun, poly_from_roots
+from fmlab.ratfun import (REAL_BAND, Poly, RatFun, conj_reflect,
+                          partial_fractions, poly_from_roots)
 from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
-from fmlab.detect import (alpha_pencil, continuation_terms, defect_hardy_plus,
-                          pencil_roots)
+from fmlab.detect import (alpha_pencil, continuation_terms, d_plus,
+                          defect_hardy_plus, pencil_roots)
 from fmlab.scancli import (
-    ComponentMap, CurveTrace, ScanGrid, _cell_defect, _xi_eval,
+    ComponentMap, CurveTrace, ScanGrid, _xi_eval,
     component_map, figure2_pipeline, main, model_from_json, model_to_json,
     petal_figure_model, piecewise_from_json, piecewise_to_json,
     rat_from_json, rat_to_json, run_verify_suite, scan_defect_grid,
@@ -160,11 +161,95 @@ def phibar_zero_model():
 
 
 PHIBAR_ZERO_MODEL, ALPHA_AT_ZERO = phibar_zero_model()
+# m0_model(): phibar'(-2i) = -1/15 and D_plus without its -2i term is
+# 1 + 2 pi i alpha/8 there, so at this alpha the M0 limit is exactly 1
+M0_UNIT_ALPHA = 60j / (23 * PI)
 
 
 def upper_phi_model():
     psi = RatFun.simple_pole(-1j, -2.0) + RatFun.simple_pole(-2j, 3.0)
     return FriedrichsModel(RatFun.simple_pole(1j), psi, 0.0)
+
+
+def division_defect(model):
+    """(defect, degenerate) of the upper-Hardy route by RatFun division.
+
+    The per-cell route of earlier versions, kept as an oracle: the poles of
+    phibar/D_plus (found, merged and cancelled by ratfun's division) are
+    classed one by one, with the same thresholds as `detect`.
+    """
+    for f in (model.phi, model.psi):
+        if any(p.half_plane != "LOWER" for p in f.poles):
+            raise ValueError("data must have all poles below the axis")
+    terms, _ = partial_fractions(model.psi)
+    if any(k > 1 for _, k, _ in terms):
+        raise ValueError("psi must have simple poles only")
+    pole_data = [(z, c) for z, _, c in terms if abs(c) > 1e-13]
+    zs = [z for z, _ in pole_data]
+    if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
+        raise ValueError("psi poles must be distinct")
+    phibar, dp = conj_reflect(model.phi), d_plus(model)
+    P = M = 0
+    for p in (phibar / dp).poles:
+        if p.half_plane == "REAL":
+            M += p.order
+        elif p.half_plane == "LOWER" and all(
+                abs(p.location - z) > 1e-8 * (1 + abs(z)) for z in zs):
+            P += p.order
+    M0 = 0
+    n, d = phibar.num, phibar.den
+    for z, c in pole_data:
+        if abs(phibar(z)) <= 1e-10:
+            deriv = (n.deriv()(z) * d(z) - n(z) * d.deriv()(z)) / d(z) ** 2
+            M0 += abs(2j * PI * c * deriv / complex(dp(z)) - 1.0) > 1e-8
+    defect = len(pole_data) - P - M - M0
+    if defect < 0:
+        raise RuntimeError("negative defect")
+    return defect, M > 0
+
+
+def cell_alpha(plane, w, conv):
+    """alpha at the scan cell w, or None at the origin of a reciprocal plane."""
+    if plane in ("ALPHA", "MU_HAT"):
+        return w if plane == "ALPHA" else w * conv / (2j * PI)
+    if abs(w) < 1e-12:
+        return None
+    return 1.0 / w if plane == "INV_ALPHA" else 1.0 / (2j * PI * w)
+
+
+def reference_defect(model, plane, w, conv):
+    """(defect, flag) of one scan cell by `division_defect` of the scaled model."""
+    alpha = cell_alpha(plane, w, complex(conv))
+    if alpha is None:
+        return -1, "UNRESOLVED"
+    if abs(alpha) < 1e-14:
+        return 0, "OK"      # psi degenerates to zero: everything detectable
+    try:
+        defect, degenerate = division_defect(
+            FriedrichsModel(model.phi, model.psi * alpha, model.B))
+    except (ValueError, RuntimeError):
+        return -1, "UNRESOLVED"
+    return (-1, "UNRESOLVED") if degenerate else (defect, "OK")
+
+
+def mpmath_defect(model, alpha, dps=50):
+    """N minus the lower roots of P + 2 pi i alpha Q, by mpmath.polyroots."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        terms = [(mp.mpc(z), mp.mpc(a)) for z, a in continuation_terms(model)]
+        alpha = mp.mpc(alpha)
+        poly = [mp.mpc(1)]             # descending coefficients
+        for z, _ in terms:
+            poly = [x - z * y for x, y in zip(poly + [0], [0] + poly)]
+        for k, (_, a) in enumerate(terms):
+            q = [mp.mpc(1)]
+            for z, _ in terms[:k] + terms[k + 1:]:
+                q = [x - z * y for x, y in zip(q + [0], [0] + q)]
+            for j, v in enumerate(q):
+                poly[j + 1] += 2j * mp.pi * alpha * a * v
+        roots = mp.polyroots(poly, maxsteps=200, extraprec=2 * dps)
+        assert all(abs(r.imag) > REAL_BAND for r in roots)
+        return len(terms) - sum(1 for r in roots if r.imag < 0)
 
 
 @pytest.mark.parametrize("model, grid, plane, conv", [
@@ -181,16 +266,53 @@ def upper_phi_model():
     (m0_model(), (-2, 2, -2, 2, 15, 15), "ALPHA", 1.0),
     (m0_model(1e-8), (-2, 2, -2, 2, 15, 15), "ALPHA", 1.0),
     (upper_phi_model(), (-2, 2, -2, 2, 9, 9), "MU_HAT", -6.0),
+    # a psi pole whose residue is below the cut, and |alpha| ~ 1e-13, where
+    # alpha times the other residue is below it in some cells only
+    (FriedrichsModel(RatFun.simple_pole(-1j),
+                     RatFun.simple_pole(-1j) + RatFun.simple_pole(-2j, 1e-14), 0.0),
+     (-1.2e-13, 1.2e-13, -1.2e-13, 1.2e-13, 7, 7), "ALPHA", 1.0),
+    (m0_model(), (0, 0, M0_UNIT_ALPHA.imag, M0_UNIT_ALPHA.imag, 1, 1), "ALPHA", 1.0),
 ], ids=["mu-origin", "inv-alpha-near-origin", "alpha-origin", "real-root",
-        "root-at-data-pole", "root-at-phibar-zero", "m0", "near-m0", "upper-phi"])
+        "root-at-data-pole", "root-at-phibar-zero", "m0", "near-m0", "upper-phi",
+        "negligible-residue", "m0-unit-limit"])
 def test_scan_matches_per_cell_defects(model, grid, plane, conv):
-    # the batched count and its fall-backs agree with the per-cell route
+    # the one classification of the grid against the per-cell division route;
+    # at |alpha| > 1e10, where ratfun's trim fails that route, against a
+    # 50-digit root count of the pencil
     sg = scan_defect_grid(model, grid, plane=plane, conv=conv)
     xs, ys = sg.cell_centers()
-    want = [_cell_defect(model.phi, model.psi, model.B, plane, complex(x, y),
-                         complex(conv)) for y in ys for x in xs]
+    ws = [complex(x, y) for y in ys for x in xs]
+    alphas = [cell_alpha(plane, w, complex(conv)) for w in ws]
+    far = [alpha is not None and abs(alpha) > 1e10 for alpha in alphas]
     got = list(zip(sg.defects.ravel().tolist(), sg.flags.ravel().tolist()))
-    assert got == want
+    assert [g for g, f in zip(got, far) if not f] == [
+        reference_defect(model, plane, w, conv) for w, f in zip(ws, far) if not f]
+    assert all(flag == "OK" for (_, flag), f in zip(got, far) if f)
+    if any(far):
+        pytest.importorskip("mpmath")
+        assert [d for (d, _), f in zip(got, far) if f] == [
+            mpmath_defect(model, alpha) for alpha, f in zip(alphas, far) if f]
+
+
+def test_near_m0_model_is_counted():
+    # phibar(-2i) ~ 7e-13 for shift 1e-11: D_plus has a pole there with a tiny
+    # residue, and the M0 limit takes D_plus without that term; within the
+    # M0 tolerance the counts are those of the exact zero (shift 0)
+    grid = (-2, 2, -2, 2, 15, 15)
+    rep = defect_hardy_plus(m0_model(1e-11))
+    assert (rep.N, rep.P, rep.M, rep.M0, rep.defect) == (2, 1, 0, 1, 0)
+    exact = scan_defect_grid(m0_model(), grid, plane="ALPHA")
+    for shift in (1e-13, 1e-11, 1e-9):
+        sg = scan_defect_grid(m0_model(shift), grid, plane="ALPHA")
+        assert np.array_equal(sg.defects, exact.defects)
+
+
+def test_cli_defect_on_near_m0_model(tmp_path):
+    mp = tmp_path / "m.json"
+    mp.write_text(json.dumps(model_to_json(m0_model(1e-11))))
+    out = tmp_path / "d.json"
+    assert main(["defect", "--model", str(mp), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["defect"] == 0
 
 
 def test_scan_falls_back_on_the_hard_cells():
@@ -427,6 +549,43 @@ def test_cli_defect(model_file, tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["route"] == "HARDY_PLUS" and rep["defect"] in (0, 1)
+
+
+def test_cli_defect_at_large_alpha(model_file, tmp_path):
+    # alpha = 1e13 i: the numerator's leading 1 is 1e-14 of its largest
+    # coefficient, and the count must not lose a root
+    out = tmp_path / "d.json"
+    assert main(["defect", "--model", model_file, "--alpha", "0,1e13",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["defect"] == 0 and len(rep["roots"]) == 2
+    pytest.importorskip("mpmath")
+    assert mpmath_defect(petal_scan_model(), 1e13j) == 0
+
+
+# the two-pole model of the README, phi = 1/(x+i) and psi = (x-i)/((x+i)(x+2i))
+TWO_POLE_JSON = {"phi": {"num": [[1, 0]], "den": [[0, 1], [1, 0]]},
+                 "psi": {"num": [[0, -1], [1, 0]], "den": [[-2, 0], [0, 3], [1, 0]]},
+                 "B": [0, 0]}
+
+
+def test_cli_scan_readme_parabola(tmp_path):
+    # with conv = 1 the README grid is the conv = -6 grid over [-2, 2]^2, and
+    # the defect-1 region is the outside of the parabola (Im w)^2 = 18 - 9 Re w
+    mp = tmp_path / "two_pole.json"
+    mp.write_text(json.dumps(TWO_POLE_JSON))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--model", str(mp), "--plane", "MU_HAT",
+                 "--grid=12,-12,12,-12,100,100", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    w = np.array([complex(float(x), float(y)) for x, y, _, _ in rows])
+    d = np.array([int(v) if v else -1 for _, _, v, _ in rows])
+    # distance to the curve x = (18 - y^2)/9, sampled within 1 of each cell's y
+    t = w.imag[:, None] + np.linspace(-1, 1, 201)
+    dist = np.min(np.abs(w[:, None] - ((18 - t ** 2) / 9 + 1j * t)), axis=1)
+    far = dist >= 1.02
+    assert len(w) == 10000 and far.sum() > 8000
+    assert np.array_equal(d[far], (w.imag[far] ** 2 > 18 - 9 * w.real[far]).astype(int))
 
 
 def test_cli_scan_matches_library(model_file, tmp_path):

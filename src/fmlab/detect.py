@@ -202,18 +202,20 @@ def _rat_deriv_at(f, z):
     return (npv * dv - nv * dpv) / (dv * dv)
 
 
-def _psi_pole_data(psi):
+def _psi_pole_data(psi, cut=_RESIDUE_CUT):
     terms, _ = partial_fractions(psi)
     if any(k > 1 for _, k, _ in terms):
         raise ValueError("psi must have simple poles only")
-    return [(z, c) for z, k, c in terms if abs(c) > _RESIDUE_CUT]
+    return [(z, c) for z, k, c in terms if abs(c) > cut]
 
 
 def _hardy_plus_poles(model):
-    """The psi pole data of a model that the upper-Hardy route accepts."""
+    """The psi pole data of a model that the upper-Hardy route accepts:
+    every pole with a nonzero residue, since the residue cut applies to
+    alpha c_k and so is made per alpha."""
     _require_halfplane(model.phi, "LOWER", "phi")
     _require_halfplane(model.psi, "LOWER", "psi")
-    pole_data = _psi_pole_data(model.psi)
+    pole_data = _psi_pole_data(model.psi, 0.0)
     zs = [z for z, _ in pole_data]
     if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
         raise ValueError("psi poles must be distinct")
@@ -248,11 +250,13 @@ def alpha_pencil(model):
     """The continued determinant of the family (phi, alpha psi) as a pencil.
 
     Returns (zs, P, Q), coefficients ascending: P = prod_k (x - z_k) is monic
-    of degree N over the psi poles z_k, and Q = sum_k a_k prod_{j != k}
-    (x - z_j) over the continuation_terms, so that d_plus of (phi, alpha psi)
-    is (P + 2 pi i alpha Q)/P for every alpha.
+    of degree N over the psi poles z_k with a nonzero residue c_k, and
+    Q = sum_k a_k prod_{j != k} (x - z_j) with a_k = c_k phibar(z_k), so
+    that d_plus of (phi, alpha psi) is (P + 2 pi i alpha Q)/P for every
+    alpha at which no |alpha c_k| is at or below the residue cut.
     """
-    terms = continuation_terms(model)
+    phibar = conj_reflect(model.phi)
+    terms = [(z, c * complex(phibar(z))) for z, c in _psi_pole_data(model.psi, 0.0)]
     zs = np.array([z for z, _ in terms], dtype=complex)
     Q = np.zeros(len(zs), dtype=complex)
     for k, (_, a) in enumerate(terms):
@@ -301,10 +305,10 @@ def _classify(model, alphas):
     The roots are the eigenvalues of the monic pencil P + 2 pi i alpha Q
     (`alpha_pencil`, `pencil_roots`), classed by `_root_classes`.  A psi pole
     z_k is live when |alpha c_k| is above the residue cut; N counts the live
-    poles.  A live pole is M0 where |phibar(z_k)| <= _PHIBAR_ZERO_TOL and
-    the limit 2 pi i alpha c_k phibar'(z_k)/D_k(z_k) is not 1, with D_k the
-    continued determinant without its k-th term (D_plus itself has a pole
-    at z_k).
+    poles, and a dead pole keeps its root next to z_k, which is EXCLUDED.
+    A live pole is M0 where |phibar(z_k)| <= _PHIBAR_ZERO_TOL and the limit
+    2 pi i alpha c_k phibar'(z_k)/D_k(z_k) is not 1, with D_k the continued
+    determinant without its k-th term (D_plus itself has a pole at z_k).
 
     Returns (zs, roots, cls, live, m0, unit): data poles (n,), roots and
     classes (len(alphas), n), and masks (len(alphas), n) of the live, the M0
@@ -379,7 +383,10 @@ def sperp_basis(model, report=None):
     Solves the linear constraints that cancel every continuation pole of
     phibar/D_plus in the values (gbar(z_1), ..., gbar(z_N)), then rebuilds
     each basis function from the interpolation formula
-    gbar = (phibar/D_plus) * sum_j c_j gbar(z_j)/(mu - z_j).
+    gbar = (phibar/D_plus) * sum_j c_j gbar(z_j)/(mu - z_j).  The poles
+    are the zeros of D_plus, each repeated by its multiplicity and classed
+    by `_root_classes` as in the count: the m-th P or M copy of a zero
+    gives the constraint of order m.
     """
     if report is None:
         report = defect_hardy_plus(model)
@@ -390,14 +397,15 @@ def sperp_basis(model, report=None):
     if report.defect == 0:
         return []
     phibar = conj_reflect(model.phi)
-    g0 = phibar / d_plus(model)
+    dp = d_plus(model)
+    g0 = phibar / dp
     zs = np.array([z for z, _ in pole_data], dtype=complex)
-    locs = np.array([p.location for p in g0.poles], dtype=complex)
-    rows = []
-    for p, cls in zip(g0.poles, _root_classes(locs, zs, _zeros(phibar))):
+    roots = np.array([r for r, m in _zeros(dp) for _ in range(m)], dtype=complex)
+    rows, order = [], {}
+    for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(phibar))):
         if cls in (_P, _M):
-            for m in range(1, p.order + 1):
-                rows.append([c / (p.location - z) ** m for z, c in pole_data])
+            order[r] = order.get(r, 0) + 1
+            rows.append([c / (r - z) ** order[r] for z, c in pole_data])
     for z, cls in report.roots:
         if cls == "M0":
             j = int(np.argmin([abs(z - zz) for zz, _ in pole_data]))

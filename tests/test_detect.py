@@ -182,6 +182,39 @@ def test_pencil_roots_are_d_plus_zeros(model, alpha):
         assert np.min(np.abs(roots - z)) < 1e-10
 
 
+def test_sperp_basis_on_double_root_at_phibar_zero():
+    # phibar = (x - zeta)/((x - i)(x - 3i)) and psi = b1/(x + i) + b2/(x + 2i),
+    # with b1, b2 solved so that P + 2 pi i Q = (x - zeta)^2: one copy of the
+    # double zero of D_plus cancels against phibar, the other is P, and
+    # phibar/D_plus keeps a simple pole at zeta, one constraint
+    zeta = -0.3 - 0.8j
+    phi = RatFun(Poly([-np.conj(zeta), 1.0]), poly_from_roots([-1j, -3j]))
+    phibar = conj_reflect(phi)
+    a1, a2 = np.linalg.solve(2j * PI * np.array([[1, 1], [2j, 1j]]),
+                             [-2 * zeta - 3j, zeta ** 2 + 2])
+    psi = pole_sum([-1j, -2j], [a1 / phibar(-1j), a2 / phibar(-2j)])
+    mod = FriedrichsModel(phi, psi, 0.0)
+    rep = defect_hardy_plus(mod)
+    assert (rep.N, rep.P, rep.M, rep.M0, rep.defect) == (2, 1, 0, 0, 1)
+    assert sorted(c for _, c in rep.roots) == ["CANCELLED", "P"]
+    (g,) = sperp_basis(mod, rep)
+    assert sperp_residual(mod, g) < 1e-8
+
+
+def test_dead_psi_pole_counts_at_every_scale():
+    # the residue 1e-14 is below the cut at alpha = 1 and above it at
+    # |alpha| > 10: one classification of the family agrees with the report
+    # of each scaled model, and the dead pole keeps its root as EXCLUDED
+    mod = FriedrichsModel(PHI_ONE, pole_sum([-1j, -2j], [1.0, 1e-14]), 0.0)
+    alphas = [1.0, 5.0, 100.0, 100j, -70 + 70j, 1e3]
+    want = [defect_hardy_plus(FriedrichsModel(mod.phi, mod.psi * a, 0.0)).defect
+            for a in alphas]
+    assert detect.pencil_defects(mod, alphas).tolist() == want
+    assert want[1] != want[2]
+    rep = defect_hardy_plus(mod)
+    assert rep.N == 1 and [c for z, c in rep.roots if abs(z + 2j) < 1e-8] == ["EXCLUDED"]
+
+
 def test_root_classes_one_rule():
     # data poles -i and -2i; phibar zeros: -0.5 - 0.5i simple, 0.3 + 0.2i double
     zs = np.array([-1j, -2j])

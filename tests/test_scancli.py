@@ -272,9 +272,14 @@ def mpmath_defect(model, alpha, dps=50):
                      RatFun.simple_pole(-1j) + RatFun.simple_pole(-2j, 1e-14), 0.0),
      (-1.2e-13, 1.2e-13, -1.2e-13, 1.2e-13, 7, 7), "ALPHA", 1.0),
     (m0_model(), (0, 0, M0_UNIT_ALPHA.imag, M0_UNIT_ALPHA.imag, 1, 1), "ALPHA", 1.0),
+    # the same model at |alpha| from 7 to 150: the 1e-14 residue is live
+    # from |alpha| = 10 on, so that pole counts in some cells only
+    (FriedrichsModel(RatFun.simple_pole(-1j),
+                     RatFun.simple_pole(-1j) + RatFun.simple_pole(-2j, 1e-14), 0.0),
+     (-105, 105, -105, 105, 22, 22), "ALPHA", 1.0),
 ], ids=["mu-origin", "inv-alpha-near-origin", "alpha-origin", "real-root",
         "root-at-data-pole", "root-at-phibar-zero", "m0", "near-m0", "upper-phi",
-        "negligible-residue", "m0-unit-limit"])
+        "negligible-residue", "m0-unit-limit", "negligible-residue-large"])
 def test_scan_matches_per_cell_defects(model, grid, plane, conv):
     # the one classification of the grid against the per-cell division route;
     # at |alpha| > 1e10, where ratfun's trim fails that route, against a

@@ -19,7 +19,8 @@ Routes to the defect number dim S-perp:
 
 The module also evaluates M-function jumps across the real axis, certifies
 S-perp candidates by residuals against solution-operator ranges, compares
-resolvent and M-function jump ranks by extrapolation, and samples the
+the rank of the bordered-resolvent jump, read off the M jump through the
+pairing identity, with the rank of the M jump, and samples the
 multiplication-symbol curve whose complement components organize the
 (1/alpha)-plane.
 """
@@ -33,11 +34,10 @@ import numpy.polynomial.polynomial as npp
 from .ratfun import (
     Poly, RatFun, REAL_BAND, _CLUSTER, cauchy_transform,
     companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
-    pv_integral,
 )
 from .hardy import (
-    QuadratureError, boundary_value, cauchy_transform_num,
-    factorize_rational, piecewise_product, quad_gk, riesz_split,
+    boundary_value, cauchy_transform_num, factorize_rational,
+    piecewise_product, quad_gk, riesz_split,
 )
 from .friedrichs import FriedrichsModel
 
@@ -57,8 +57,10 @@ INFINITE = "INFINITE"
 # classification tolerances; the real-axis band matches the root finder's
 _PHIBAR_ZERO_TOL = 1e-10
 _M0_LIMIT_TOL = 1e-8
-_RANK_SV_REL = 1e-6
 _RESIDUE_CUT = 1e-13      # psi residues at or below this are dropped
+# rounding of the computed jump of M (mb_jump): this times the size of the
+# terms summed into M^{-1}, over |M^{-1}(k + i0) M^{-1}(k - i0)|
+_JUMP_ROUND = 8 * np.finfo(float).eps
 
 # classes of a root of the continued determinant (see _root_classes)
 _P, _M, _UPPER, _EXCLUDED, _CANCELLED = range(5)
@@ -117,11 +119,15 @@ class PiecewiseModel:
 
 @dataclass(frozen=True)
 class RankCheck:
+    """A refused check has resolved False, a reason, and None for the ranks
+    and the jump matrix."""
+
     rank_resolvent: int
     rank_M: int
     equal: bool
     resolved: bool
     jump_matrix: object = None
+    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -132,27 +138,23 @@ def _phibar_of(f):
     return conj_reflect(f) if isinstance(f, RatFun) else f
 
 
-def _hat(f, lam, power=1):
-    """int f(t)/(t - lam)^power dt for rational or piecewise f, lam off the
-    axis; power 2 is the lam-derivative of the transform."""
+def _hat(f, lam):
+    """int f(t)/(t - lam) dt for rational or piecewise f, lam off the axis."""
     if isinstance(f, RatFun):
-        if power == 1:
-            return cauchy_transform(f, lam)
-        s = RatFun.simple_pole(lam)
-        return pv_integral(f * s * s)
-    return cauchy_transform_num(f, lam, power=power)
+        return cauchy_transform(f, lam)
+    return cauchy_transform_num(f, lam)
 
 
-def _support_quad(pw, g, lam, power=1):
-    """int pw(t) g(t)/(t - lam)^power over the support of the piecewise factor."""
+def _support_quad(pw, g, lam):
+    """int pw(t) g(t)/(t - lam) over the support of the piecewise factor."""
     total = 0j
     for a, b in pw.support:
-        total += quad_gk(lambda t: pw(t) * g(t) / (t - lam) ** power, a, b)
+        total += quad_gk(lambda t: pw(t) * g(t) / (t - lam), a, b)
     return total
 
 
-def _hat_product(a, b, lam, power=1):
-    """int a(t) b(t)/(t - lam)^power dt for rational or piecewise a and b.
+def _hat_product(a, b, lam):
+    """int a(t) b(t)/(t - lam) dt for rational or piecewise a and b.
 
     Rational factors multiply in closed form.  Any piecewise factor makes
     a b one piecewise function (`piecewise_product`, which also takes a
@@ -160,13 +162,13 @@ def _hat_product(a, b, lam, power=1):
     an overlap that is none of the piece kinds integrates the two factors.
     """
     if isinstance(a, RatFun) and isinstance(b, RatFun):
-        return _hat(a * b, lam, power)
+        return _hat(a * b, lam)
     try:
         prod = piecewise_product(a, b)
     except ValueError:
         pw, g = (b, a) if isinstance(a, RatFun) else (a, b)
-        return _support_quad(pw, g, lam, power)
-    return cauchy_transform_num(prod, lam, power=power)
+        return _support_quad(pw, g, lam)
+    return cauchy_transform_num(prod, lam)
 
 
 def _d_at(phi, psi, lam):
@@ -692,13 +694,18 @@ def mb_jump(model, k, tol=1e-8):
     """Jump of M_B^{-1} (and of M_B) across the axis at k.
 
     M^{-1}(k +- i0) = +-pi i - psihat phibarhat / D - B with one-sided
-    Plemelj boundary values; rank 1 exactly when M itself jumps.
+    Plemelj boundary values; rank 1 exactly when M itself jumps.  The
+    difference [M] = 1/M^{-1}(k + i0) - 1/M^{-1}(k - i0) errs by about
+    eps (pi + |psihat phibarhat / D| + |B|) / |M^{-1}(k + i0) M^{-1}(k - i0)|.
+    Where that bound exceeds tol, M has a pole on the axis at k to working
+    precision: jump_M is inf and the rank 1.
     """
     k = float(k)
     phi, psi, B = model.phi, model.psi, complex(model.B)
     phibar = _phibar_of(phi)
 
     def minv(side):
+        """M^{-1}(k +- i0) and the size of the terms summed into it."""
         sgn = PI * 1j if side == "+" else -PI * 1j
         ph = boundary_value(psi, k, side)
         fh = boundary_value(phibar, k, side)
@@ -708,11 +715,12 @@ def mb_jump(model, k, tol=1e-8):
             D = 1.0 + boundary_value(piecewise_product(psi, phibar), k, side)
         if abs(D) < 1e-12:
             raise ZeroDivisionError(f"determinant vanishes at {k}{side}i0")
-        return sgn - ph * fh / D - B
+        t = ph * fh / D
+        return sgn - t - B, PI + abs(t) + abs(B)
 
-    mp, mm = minv("+"), minv("-")
+    (mp, sp), (mm, sm) = minv("+"), minv("-")
     jump_minv = mp - mm
-    if min(abs(mp), abs(mm)) < tol:
+    if _JUMP_ROUND * max(sp, sm) > tol * abs(mp) * abs(mm):
         jump_m = np.inf
         rank = 1
     else:
@@ -725,167 +733,38 @@ def mb_jump(model, k, tol=1e-8):
 # jump rank comparison: bordered resolvent vs M-function
 # ---------------------------------------------------------------------------
 
-def _model_m(model, lam):
-    """M-function value for rational or piecewise model data."""
-    phi, psi, B = model.phi, model.psi, complex(model.B)
-    phibar = _phibar_of(phi)
-    D = _d_at(phi, psi, lam)
-    ph = _hat(psi, lam)
-    fh = _hat(phibar, lam)
-    bracket = np.sign(lam.imag) * PI * 1j - ph * fh / D - B
-    return 1.0 / bracket, D, ph, fh
-
-
-# |a - b| below which the divided differences of _kernel_pairing become
-# derivatives at the midpoint: rounding in a difference quotient grows like
-# eps/|a - b| and the midpoint rule errs by |a - b|^2, which balance at eps^(1/3)
-_CONFLUENT_REL = 6e-6
-
-
-def _kernel_pairing(model, a, b, at_a, at_b, c, c_t):
-    """int (1 - c psi)(1 - c_t phibar)/((t - a)(t - b)) dt over the axis,
-    quadrature-free; at_a and at_b are the `_model_m` tuples at a and b.
-
-    It is the pairing <u, v> of the kernel elements u = (1 - c psi)/(t - a)
-    of the model and v = (1 - conj(c_t) phi)/(t - conj(b)) of the
-    adjoint-side model, without their gamma_2 factors.  Each term is
-    int h/((t - a)(t - b)) = (hhat(a) - hhat(b))/(a - b): for h = 1 the
-    difference is i pi (sgn Im a - sgn Im b), for h = psi phibar it is
-    D(a) - D(b).  Where a and b nearly coincide in one half-plane, each
-    divided difference is the derivative int h/(t - m)^2 at their midpoint m.
-    """
-    if abs(a - b) <= _CONFLUENT_REL * (1.0 + abs(a)) and a.imag * b.imag > 0:
-        phi, psi = model.phi, model.psi
-        m = 0.5 * (a + b)
-        return (-c * _hat(psi, m, 2) - c_t * _hat(_phibar_of(phi), m, 2)
-                + c * c_t * _hat_product(psi, _phibar_of(phi), m, 2))
-    _, Da, pha, fha = at_a
-    _, Db, phb, fhb = at_b
-    one = 1j * PI * (np.sign(a.imag) - np.sign(b.imag))
-    return (one - c * (pha - phb) - c_t * (fha - fhb) + c * c_t * (Da - Db)) / (a - b)
-
-
-def _neville_zero(xs, ys):
-    """Polynomial extrapolation of ys(xs) to 0, with a crude error estimate."""
-    ys = [np.asarray(y, dtype=complex) for y in ys]
-    n = len(xs)
-    tab = list(ys)
-    prev = tab[0]
-    for m in range(1, n):
-        nxt = []
-        for i in range(n - m):
-            num = (0.0 - xs[i]) * tab[i + 1] - (0.0 - xs[i + m]) * tab[i]
-            nxt.append(num / (xs[i + m] - xs[i]))
-        tab = nxt
-        prev = tab[0]
-    err = float(np.max(np.abs(prev - ys[-1])))
-    return prev, err
-
-
-def jump_rank_check(model, k, fs, ws, mus, mu_ts,
-                    eps_ladder=(3e-3, 1e-3, 3e-4, 1e-4), tol=1e-6):
+def jump_rank_check(model, k, fs, ws, mus, mu_ts, tol=1e-6):
     """Compare the rank of the bordered-resolvent jump with the M jump at k.
 
-    The bordered matrix entries <(A_B - lam)^{-1} F_{i,l}, v_{j,nu}> are
-    evaluated through the pairing identity
+    The bordered matrix entries <(A_B - lam)^{-1} F_{i,l}, v_{j,nu}>, with
+    F_{i,l} = S_{mu_l,B} f_i and v_{j,nu} the adjoint-side solution for w_j
+    at mu_t_nu, obey the pairing identity
 
       <R F, v> = [<F, v>(conj(mu_t) - lam) - M f conj(w) + f conj(g2t)]
                  / ((mu - lam)(conj(mu_t) - lam)),
 
-    which needs only scalar transforms, so it applies to piecewise data too.
-    <F, v> itself is a combination of divided differences of the transforms
-    of psi, phibar and psi phibar between mu and conj(mu_t)
-    (`_kernel_pairing`), so no entry needs quadrature over the axis.
-    The jump matrix at k is Richardson-extrapolated over the eps ladder and
-    its numerical rank compared with that of [M](k) f_i conj(w_j).
+    in which only M(lam) jumps across the axis.  The jump matrix at k is
+    therefore J = -[M](k) f_i conj(w_j) / ((mu_l - k)(conj(mu_t_nu) - k)),
+    with [M] from `mb_jump`, and its rank is compared with that of
+    [M](k) f_i conj(w_j).  Where `mb_jump` finds a pole of M on the axis
+    (jump_M inf), J is undefined: the check is refused, with resolved
+    False, no ranks and no jump matrix, and a reason.
     """
     k = float(k)
-    fs = [complex(f) for f in fs]
-    ws = [complex(w) for w in ws]
-    mus = [complex(m) for m in mus]
-    mu_ts = [complex(m) for m in mu_ts]
-    tm = PiecewiseModel(model.psi, model.phi, np.conj(model.B))
-    rows = [(i, l) for i in range(len(fs)) for l in range(len(mus))]
-    cols = [(j, nu) for j in range(len(ws)) for nu in range(len(mu_ts))]
-
-    # lam-independent data: the kernel element S_{mu,B} f = g2 (1 - c psi)
-    # /(t - mu) has g2 = M(mu) f and c = phibarhat(mu)/D(mu), and the
-    # adjoint-side element v likewise; then the pairings <F, v>
-    at_mu = [_model_m(model, mu) for mu in mus]
-    at_bs = [_model_m(model, np.conj(mu_t)) for mu_t in mu_ts]
-    kern_t = []
-    for mu_t in mu_ts:
-        Mt, Dt, _, fht = _model_m(tm, mu_t)
-        kern_t.append((Mt, np.conj(fht / Dt)))
-    pair0 = {}
-    for i, l in rows:
-        for j, nu in cols:
-            if fs[i] == 0 or ws[j] == 0:
-                continue
-            M, D, _, fh = at_mu[l]
-            Mt, c_t = kern_t[nu]
-            pair0[(i, l, j, nu)] = M * fs[i] * np.conj(Mt * ws[j]) * _kernel_pairing(
-                model, mus[l], np.conj(mu_ts[nu]), at_mu[l], at_bs[nu], fh / D, c_t)
-
-    def bordered(lam):
-        Mv, _, _, _ = _model_m(model, lam)
-        out = np.zeros((len(rows), len(cols)), dtype=complex)
-        for a, (i, l) in enumerate(rows):
-            for b, (j, nu) in enumerate(cols):
-                if (i, l, j, nu) not in pair0:
-                    continue
-                mtc = np.conj(mu_ts[nu])
-                val = (pair0[(i, l, j, nu)] * (mtc - lam)
-                       - Mv * fs[i] * np.conj(ws[j])
-                       + fs[i] * np.conj(kern_t[nu][0] * ws[j]))
-                out[a, b] = val / ((mus[l] - lam) * (mtc - lam))
-        return out
-
-    def extrapolate(lad):
-        jumps = [bordered(complex(k, e)) - bordered(complex(k, -e))
-                 for e in lad]
-        J0, _ = _neville_zero(list(lad), jumps)
-        if len(lad) > 2:
-            # sub-ladder consistency is a far better error gauge than the
-            # raw Neville defect near an embedded resonance of M
-            Ja, _ = _neville_zero(list(lad[:-1]), jumps[:-1])
-            Jb, _ = _neville_zero(list(lad[1:]), jumps[1:])
-            err = float(np.max(np.abs(Ja - Jb))) if J0.size else 0.0
-        else:
-            err = float(np.max(np.abs(J0 - jumps[-1]))) if J0.size else 0.0
-        return J0, err
-
-    lad = tuple(float(e) for e in eps_ladder)
-    J0 = np.zeros((len(rows), len(cols)), dtype=complex)
-    resolved = False
-    prev = None
-    for _ in range(3):
-        try:
-            J0, err = extrapolate(lad)
-        except (QuadratureError, ZeroDivisionError):
-            break
-        if prev is not None and J0.size:
-            # agreement between successive shrunk ladders is the sharper
-            # gauge once the pole of J(eps) has been left behind
-            err = min(err, float(np.max(np.abs(J0 - prev))))
-        smax = float(np.max(np.abs(J0))) if J0.size else 0.0
-        if err <= max(0.3 * tol, 1e-3 * smax):
-            resolved = True
-            break
-        prev = J0
-        lad = tuple(0.3 * e for e in lad)   # resonance nearby: tighten
-    if J0.size:
-        s = np.linalg.svd(J0, compute_uv=False)
-        rank_res = int(np.sum(s > max(_RANK_SV_REL * s[0], tol)))
-    else:
-        rank_res = 0
     jr = mb_jump(model, k, tol=tol)
-    fmat = np.outer(fs, np.conj(ws))
-    jm = jr.jump_M if np.isfinite(jr.jump_M) else 1.0
-    rank_m = 0 if (jr.rank == 0 or np.max(np.abs(fmat)) < tol) else \
-        int(np.linalg.matrix_rank(jm * fmat, tol=tol))
-    return RankCheck(min(rank_res, 1), min(rank_m, 1),
-                     min(rank_res, 1) == min(rank_m, 1), resolved, J0)
+    if not np.isfinite(jr.jump_M):
+        return RankCheck(None, None, False, False, None,
+                         f"M has a pole on the axis at k = {k:.12g}")
+    fs = np.asarray(fs, dtype=complex)
+    wbar = np.conj(np.asarray(ws, dtype=complex))
+    rows = np.outer(fs, 1.0 / (np.asarray(mus, dtype=complex) - k)).ravel()
+    cols = np.outer(wbar, 1.0 / (np.conj(np.asarray(mu_ts, dtype=complex)) - k)).ravel()
+    J = -jr.jump_M * np.outer(rows, cols)
+    # both matrices are outer products: rank 1 where the 2-norm exceeds tol
+    jm = abs(jr.jump_M)
+    rank_res = int(jm * np.linalg.norm(rows) * np.linalg.norm(cols) > tol)
+    rank_m = int(jr.rank == 1 and jm * np.linalg.norm(fs) * np.linalg.norm(wbar) > tol)
+    return RankCheck(rank_res, rank_m, rank_res == rank_m, True, J)
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,12 @@ def _verify_krein(model, C, lam, g):
     f_c = apply_resolvent(model_c, lam, g)
     mb = m_function(model, lam)
     s = (1.0 + (model.B - C) * mb.M) * (C - model.B) * f_c.gamma2
-    corr = solution_operator(model_c, lam, s) if s != 0 else None
-    diff = f_c.f - f_b.f
-    if corr is not None:
-        diff = diff - corr.f
-    return _sup_samples(diff, _XS) / (1.0 + _sup_samples(f_c.f, _XS))
+    # differences of sampled values: a RatFun difference would cancel to 0
+    fc = f_c.f(_XS)
+    diff = fc - f_b.f(_XS)
+    if s != 0:
+        diff = diff - solution_operator(model_c, lam, s).f(_XS)
+    return float(np.max(np.abs(diff)) / (1.0 + np.max(np.abs(fc))))
 
 
 def _verify_aronszajn(model, C, lam):
@@ -316,8 +317,9 @@ def _verify_sdiff(model, lam, lam0, f=1.0):
     u = solution_operator(model, lam, f)
     u0 = solution_operator(model, lam0, f)
     r = apply_resolvent(model, lam, u0.f)
-    diff = u.f - u0.f - (lam - lam0) * r.f
-    return _sup_samples(diff, _XS) / (1.0 + _sup_samples(u.f, _XS))
+    uf = u.f(_XS)
+    diff = uf - u0.f(_XS) - (lam - lam0) * r.f(_XS)
+    return float(np.max(np.abs(diff)) / (1.0 + np.max(np.abs(uf))))
 
 
 def _verify_continuation(model, lam, mu, mu_t):

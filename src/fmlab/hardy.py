@@ -262,30 +262,28 @@ def _log_ratio(a, b, lam):
     return complex(np.log((b - lam) / (a - lam)))
 
 
-def _piece_transform(p, lam, tol=1e-9, power=1):
-    """Integral of p(t)/(t - lam)^power over the piece, lam off [p.a, p.b].
+def _piece_transform(p, lam, tol=1e-9):
+    """Integral of p(t)/(t - lam) over the piece, lam off [p.a, p.b].
 
-    An indicator is closed form: log((b - lam)/(a - lam)), and for power 2
-    (the lam-derivative) 1/(a - lam) - 1/(b - lam), written as
-    (b - a)/((a - lam)(b - lam)) so that it does not cancel far from the
-    interval.  A reciprocal-cauchy-of piece p = 1/log((ib - z)/(ia - z)) is
-    analytic off [ia, ib], so for lam off the axis and within one interval
-    length of the piece its value p(lam) is subtracted: the integrand of
+    An indicator is closed form: log((b - lam)/(a - lam)).  A
+    reciprocal-cauchy-of piece p = 1/log((ib - z)/(ia - z)) is analytic off
+    [ia, ib], so for lam off the axis and within one interval length of the
+    piece its value p(lam) is subtracted: the integrand of
     int (p(t) - p(lam))/(t - lam) dt is bounded, and p(lam) log((b - lam)/
     (a - lam)) restores the rest (exact for any constant).  Everything else
     is plain quadrature.
     """
     a, b = p.a, p.b
     if p.kind == "indicator":
-        return _log_ratio(a, b, lam) if power == 1 else (b - a) / ((a - lam) * (b - lam))
+        return _log_ratio(a, b, lam)
     gap = max(a - lam.real, 0.0, lam.real - b)
-    if (p.kind == "reciprocal-cauchy-of" and power == 1 and lam.imag != 0
+    if (p.kind == "reciprocal-cauchy-of" and lam.imag != 0
             and abs(complex(gap, lam.imag)) < b - a):
         ia, ib = p.payload
         v = 1.0 / np.log((ib - lam) / (ia - lam))
         return (quad_gk(lambda t: (p.evaluate(t) - v) / (t - lam), a, b, tol=tol)
                 + v * _log_ratio(a, b, lam))
-    return quad_gk(lambda t: p.evaluate(t) / (t - lam) ** power, a, b, tol=tol)
+    return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b, tol=tol)
 
 
 def boundary_value(f, k, side="+"):
@@ -344,21 +342,18 @@ def boundary_value(f, k, side="+"):
     return pv + sgn * 1j * np.pi * fk
 
 
-def cauchy_transform_num(f, lam, tol=1e-9, power=1):
-    """Cauchy transform int f(t)/(t - lam)^power dt of a piecewise function.
+def cauchy_transform_num(f, lam, tol=1e-9):
+    """Cauchy transform int f(t)/(t - lam) dt of a piecewise function.
 
-    power is 1 (the transform) or 2 (its lam-derivative); lam is off the
-    support, or for power 1 within REAL_BAND of the axis, where the value is
-    the principal value (the mean of the two boundary values).  Indicator
+    lam is off the support, or within REAL_BAND of the axis, where the value
+    is the principal value (the mean of the two boundary values).  Indicator
     pieces are closed form, reciprocal-cauchy-of pieces near lam subtract
     their value at lam, and the rest is adaptive quadrature.
     """
     lam = complex(lam)
     if abs(lam.imag) < REAL_BAND:
-        if power != 1:
-            raise ValueError("derivative of the transform on the axis")
         return boundary_value(f, lam.real, "+") - 1j * np.pi * complex(f(lam.real))
-    return sum((_piece_transform(p, lam, tol, power) for p in f.pieces), 0j)
+    return sum((_piece_transform(p, lam, tol) for p in f.pieces), 0j)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .ratfun import (Poly, RatFun, cauchy_transform, conj_reflect, l2_norm,
 from .hardy import quad_gk
 from .friedrichs import (DomainElement, EigenvalueError, FriedrichsModel,
                          apply_resolvent, solution_operator, traces)
-from .detect import _neville_zero
 
 PI = np.pi
 
@@ -40,6 +39,23 @@ _LADDER = (1e2, 1e3, 1e4)
 
 class ReconError(RuntimeError):
     pass
+
+
+def _neville_zero(xs, ys):
+    """Polynomial extrapolation of ys(xs) to 0, with a crude error estimate."""
+    ys = [np.asarray(y, dtype=complex) for y in ys]
+    n = len(xs)
+    tab = list(ys)
+    prev = tab[0]
+    for m in range(1, n):
+        nxt = []
+        for i in range(n - m):
+            num = (0.0 - xs[i]) * tab[i + 1] - (0.0 - xs[i + m]) * tab[i]
+            nxt.append(num / (xs[i + m] - xs[i]))
+        tab = nxt
+        prev = tab[0]
+    err = float(np.max(np.abs(prev - ys[-1])))
+    return prev, err
 
 
 def _times_linear(f, lam):

@@ -11,8 +11,8 @@ from fmlab.ratfun import (
     Poly, RatFun, poly_from_roots, poly_roots, conj_reflect, inner_product,
     l2_norm,
 )
-from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product, quad_real_line
-from fmlab.friedrichs import FriedrichsModel, tilde_model
+from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
+from fmlab.friedrichs import FriedrichsModel, apply_resolvent, solution_operator, tilde_model
 from fmlab import detect
 from fmlab.detect import (
     _d_at, PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
@@ -644,78 +644,65 @@ def test_symbol_curve_mixed_data():
 
 
 # ---------------------------------------------------------------------------
-# quadrature-free pairing of kernel elements in jump_rank_check
+# the jump matrix of jump_rank_check against the resolvent itself
 # ---------------------------------------------------------------------------
 
 MOD_RAT = FriedrichsModel(RatFun.simple_pole(2j),
                           RatFun(Poly([1.0, 1.0]), poly_from_roots([-1.5j, 1 + 1j])),
                           0.3 - 0.2j)
-# phi with poles on both sides of the axis: no pairing vanishes identically
+# phi with poles on both sides of the axis
 MOD_RAT2 = FriedrichsModel(RatFun.simple_pole(2j) + RatFun.simple_pole(-1 - 1.3j, 0.7),
                            MOD_RAT.psi, 0.3 - 0.2j)
 
-# rational phibar = 1/(x + i) times the reciprocal-cauchy-of psi is no piece
-# kind: D and its derivative integrate the two factors
-MOD_RC_RAT = PiecewiseModel(RatFun.simple_pole(1j), PSI_PW, 0.0)
 
+@pytest.mark.parametrize("model", [MOD_RAT, MOD_RAT2], ids=["MOD_RAT", "MOD_RAT2"])
+def test_jump_matrix_matches_resolvent_jump(model):
+    # oracle: <(A_B - lam)^{-1} F, v> at lam = k +- i eps, with the resolvent
+    # and the inner product in closed form
+    eps = 1e-7
+    for mu, mu_t in ((0.5 + 1j, 1.2j), (-1j, 1.2j), (-1j, -1.7j)):
+        F = solution_operator(model, mu, 1.0)
+        v = solution_operator(tilde_model(model), mu_t, 1.0)
 
-def _pairing_inputs(model, mu, mu_t):
-    """(b, at_a, at_b, c, c_t) of _kernel_pairing as jump_rank_check forms them."""
-    tm = PiecewiseModel(model.psi, model.phi, np.conj(model.B))
-    b = np.conj(mu_t)
-    at_a, at_b = detect._model_m(model, mu), detect._model_m(model, b)
-    _, Dt, _, fht = detect._model_m(tm, mu_t)
-    return b, at_a, at_b, at_a[3] / at_a[1], np.conj(fht / Dt)
+        def pairing(lam):
+            return inner_product(apply_resolvent(model, lam, F.f).f, v.f)
 
-
-def _pairing_by_quadrature(model, a, b, at_a, at_b, c, c_t):
-    """int (1 - c psi)(1 - c_t conj(phi))/((t - a)(t - b)) over the axis."""
-    def h(t):
-        psi = np.asarray(model.psi(t), dtype=complex)
-        phic = np.conj(np.asarray(model.phi(t), dtype=complex))
-        return (1 - c * psi) * (1 - c_t * phic) / ((t - a) * (t - b))
-    return quad_real_line(h, tol=1e-11)
-
-
-PAIRING_CASES = [
-    (MOD_RAT, 0.5 + 1j, 1.2j), (MOD_RAT, -1j, 1.2j), (MOD_RAT, -1j, -1.7j),
-    (MOD_RAT2, -1j, 1.2j), (MOD_RAT2, 0.5 + 1j, -0.8j), (MOD_RAT2, -0.3 - 2j, 1.2j),
-    (MOD_PW, 1j, 1.5j), (MOD_PW, -1j, 1.5j), (MOD_PW, 0.4 + 1j, -1.5j),
-    (MOD_OV, 1j, 1.5j), (MOD_OV, 0.25 - 0.5j, 1.5j), (MOD_OV, 0.75 + 0.3j, 2 - 0.5j),
-    (MOD_MIXED, 0.5 + 1j, 1.5j), (MOD_RC_RAT, 1j, 1.5j),
-    # confluent: mu = conj(mu_t), and 1e-7 apart
-    (MOD_RAT, -1j, 1j), (MOD_RAT2, -1j, 1j), (MOD_RAT2, 0.5 + 1j, 0.5 - 1j),
-    (MOD_PW, 1j, -1j), (MOD_OV, 0.25 + 0.5j, 0.25 - 0.5j),
-    (MOD_PW, 1j, -1j + 1e-7), (MOD_OV, 1j, 1e-7 - 1j), (MOD_RC_RAT, 2.5 + 1j, 2.5 - 1j),
-]
-
-
-@pytest.mark.parametrize("model, mu, mu_t", PAIRING_CASES)
-def test_kernel_pairing_matches_quadrature(model, mu, mu_t):
-    b, at_a, at_b, c, c_t = _pairing_inputs(model, mu, mu_t)
-    got = detect._kernel_pairing(model, mu, b, at_a, at_b, c, c_t)
-    want = _pairing_by_quadrature(model, mu, b, at_a, at_b, c, c_t)
-    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
-
-
-def test_jump_rank_check_with_quadrature_pairing(monkeypatch):
-    cases = [(MOD_RAT, 0.4, [0.5 + 1j, -1j], [1.2j]), (MOD_RAT2, 0.4, [0.5 + 1j, -1j], [1.2j]),
-             (MOD_PW, 0.5, [1j], [1.5j]), (MOD_OV, 0.25, [1j], [1.5j])]
-    got = [jump_rank_check(m, k, fs=[1.0], ws=[1.0], mus=mus, mu_ts=mts)
-           for m, k, mus, mts in cases]
-    monkeypatch.setattr(detect, "_kernel_pairing", _pairing_by_quadrature)
-    for (m, k, mus, mts), rc in zip(cases, got):
-        ref = jump_rank_check(m, k, fs=[1.0], ws=[1.0], mus=mus, mu_ts=mts)
-        assert (rc.resolved, rc.rank_resolvent, rc.rank_M) == \
-            (ref.resolved, ref.rank_resolvent, ref.rank_M)
-        assert np.max(np.abs(rc.jump_matrix - ref.jump_matrix)) < 1e-7
+        for k in (0.4, -1.3, 2.0):
+            rc = jump_rank_check(model, k, fs=[1.0], ws=[1.0], mus=[mu], mu_ts=[mu_t])
+            J = rc.jump_matrix[0, 0]
+            want = pairing(complex(k, eps)) - pairing(complex(k, -eps))
+            assert abs(J - want) <= 1e-5 * max(1.0, abs(J)), (mu, mu_t, k)
 
 
 def test_jump_rank_check_confluent_pairing():
-    # oracle: the same check with every <F, v> by quad_real_line quadrature
+    # mu = conj(mu_t); oracle: the jump of the bordered pairing extrapolated
+    # from k +- i eps, with every <F, v> integrated over the axis
     rc = jump_rank_check(MOD_PW, 0.4, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[-1j])
     assert rc.resolved and rc.equal and (rc.rank_resolvent, rc.rank_M) == (1, 1)
     assert abs(rc.jump_matrix[0, 0] - (-0.19536067945651306 - 0.20512871342953104j)) < 1e-9
+
+
+# p.v. int psi(t)/(t - k) dt vanishes at this k on psi's support: M has a
+# pole on the axis there
+K_STAR = 2.6203034970963
+
+
+def test_jump_rank_check_near_real_pole_of_m():
+    ks = np.concatenate([np.linspace(2.05, 2.95, 451)[1:-1],
+                         K_STAR + np.array([0.0, 1e-6, -1e-6, 1e-5, -1e-5,
+                                            1e-4, -1e-4, 1e-3, -1e-3])])
+    refused = []
+    for k in ks:
+        rc = jump_rank_check(MOD_PW, k, fs=[1.0], ws=[1.0], mus=[1j], mu_ts=[1.5j])
+        if rc.resolved:
+            # the exact jump is zero on psi's support, away from k*
+            assert (rc.rank_resolvent, rc.rank_M, rc.equal) == (0, 0, True), k
+            assert rc.reason == ""
+        else:
+            refused.append(k)
+            assert rc.jump_matrix is None and "pole" in rc.reason, k
+            assert mb_jump(MOD_PW, k, tol=1e-6).jump_M == np.inf, k
+    assert refused and max(abs(k - K_STAR) for k in refused) < 1e-4
 
 
 # ---------------------------------------------------------------------------

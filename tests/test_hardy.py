@@ -281,9 +281,6 @@ def test_indicator_transform_matches_mpmath(monkeypatch, a, b):
             want = complex(mp.log(b - z) - mp.log(a - z))
             got = cauchy_transform_num(chi, lam)
             assert abs(got - want) <= 1e-12 * abs(want), lam
-            dwant = complex(1 / (a - z) - 1 / (b - z))
-            dgot = cauchy_transform_num(chi, lam, power=2)
-            assert abs(dgot - dwant) <= 1e-12 * abs(dwant), lam
 
 
 def test_indicator_transform_branch_against_quadrature():

@@ -11,7 +11,7 @@ from fmlab.ratfun import (Poly, RatFun, poly_from_roots, inner_product,
 from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import (FriedrichsModel, apply_resolvent, m_function,
                               solution_operator, tilde_model)
-from fmlab.detect import PiecewiseModel, _model_m
+from fmlab.detect import PiecewiseModel, _d_at, _hat, _phibar_of
 from fmlab.recon import (ReconError, ResolventOracle, bordered_from_m,
                          m_from_one_bordered, m_from_two_resolvents,
                          pairing_m_value, recover_from_ranges,
@@ -198,13 +198,23 @@ PW_MODEL = PiecewiseModel(PiecewiseFun.indicator(*IV),
 V_WIN = PiecewiseFun.indicator(*WIN)
 
 
+def model_m(model, lam):
+    """M(lam) = 1/(sgn(Im lam) pi i - psihat phibarhat/D - B) for rational or
+    piecewise model data."""
+    phi, psi = model.phi, model.psi
+    bracket = (np.sign(lam.imag) * np.pi * 1j
+               - _hat(psi, lam) * _hat(_phibar_of(phi), lam) / _d_at(phi, psi, lam)
+               - complex(model.B))
+    return 1.0 / bracket
+
+
 def window_pairing(lam):
     """<(A_B-lam)^{-1} v, v> for the window weight, via the kernel formula.
 
     With v supported away from phi and psi the resolvent reduces to
     v/(x-lam) + c_f/(x-lam) plus a psi term orthogonal to the window.
     """
-    M, _, _, _ = _model_m(PW_MODEL, lam)
+    M = model_m(PW_MODEL, lam)
     cf = -M * _window_quad(V_WIN, None, lam)
     return _window_quad(V_WIN, V_WIN, lam) + cf * _window_quad(None, V_WIN, lam)
 
@@ -213,7 +223,7 @@ def test_one_bordered_matches_direct():
     lams = [0.5 + 1j, -3 + 0.8j, 1.5 - 1.2j, 2.5 + 2j]
     for lam, m, ok in m_from_one_bordered(window_pairing, V_WIN, V_WIN, lams):
         assert ok
-        assert abs(m - _model_m(PW_MODEL, lam)[0]) < 1e-6
+        assert abs(m - model_m(PW_MODEL, lam)) < 1e-6
 
 
 def test_one_bordered_large_lam_asymptote():

@@ -479,6 +479,14 @@ def test_verify_suite_residuals_small():
         assert float(r) < 1e-8, kind
 
 
+def test_verify_suite_krein_and_sdiff_residuals_are_rounding():
+    # both identities hold exactly in RatFun algebra; the residual is the
+    # rounding of the sampled difference, not a difference cancelled to 0
+    rep = run_verify_suite(seed=0, count=70)
+    for kind in ("krein", "sdiff"):
+        assert 0.0 < float(rep["residuals"][kind]) < 1e-12, kind
+
+
 def test_verify_suite_hash_reproducible():
     a = run_verify_suite(seed=2, count=21)
     b = run_verify_suite(seed=2, count=21)

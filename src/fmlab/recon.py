@@ -7,25 +7,25 @@ Four routes are implemented:
 * ``recover_from_restricted_resolvent`` — only the resolvent restricted to the
   closed span of solution ranges is known, through a ``ResolventOracle``;
   three sequential stages recover psi (up to scale), the boundary parameter B,
-  and the sampled ratio phibar_hat/D, from which M is assembled.
+  and the sampled ratio phibar_hat/D, from which M is assembled.  Each is an
+  exact identity at finitely many points, checked against a second route.
 * ``m_from_two_resolvents`` / ``m_from_one_bordered`` — pointwise M recovery
   from bordered-resolvent pairings (two boundary conditions, or one bordered
   resolvent plus a window disjoint from both supports).
 * ``bordered_from_m`` — the converse direction: synthesize a resolvent pairing
   from M-values and trace data.
 
-All infinite limits are realized as finite ladders with polynomial
-extrapolation to 0 in the reciprocal parameter; results carry the observed
-extrapolation defect as an error estimate.
+No limit is taken: every quantity is read off finitely many oracle calls
+or closed-form transforms.
 """
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ratfun import (Poly, RatFun, cauchy_transform, conj_reflect, l2_norm,
-                     partial_fractions)
-from .hardy import quad_gk
+from .ratfun import (Poly, RatFun, _CLUSTER, cauchy_transform, conj_reflect,
+                     inner_product, l2_norm, partial_fractions)
+from .hardy import cauchy_transform_num, piecewise_product
 from .friedrichs import (DomainElement, EigenvalueError, FriedrichsModel,
                          apply_resolvent, solution_operator, traces)
 
@@ -33,29 +33,11 @@ PI = np.pi
 
 INSUFFICIENT = "insufficient information"
 
-# default ladder of imaginary parts standing in for the Im -> infinity limits
-_LADDER = (1e2, 1e3, 1e4)
+_EPS = np.finfo(float).eps
 
 
 class ReconError(RuntimeError):
     pass
-
-
-def _neville_zero(xs, ys):
-    """Polynomial extrapolation of ys(xs) to 0, with a crude error estimate."""
-    ys = [np.asarray(y, dtype=complex) for y in ys]
-    n = len(xs)
-    tab = list(ys)
-    prev = tab[0]
-    for m in range(1, n):
-        nxt = []
-        for i in range(n - m):
-            num = (0.0 - xs[i]) * tab[i + 1] - (0.0 - xs[i + m]) * tab[i]
-            nxt.append(num / (xs[i + m] - xs[i]))
-        tab = nxt
-        prev = tab[0]
-    err = float(np.max(np.abs(prev - ys[-1])))
-    return prev, err
 
 
 def _times_linear(f, lam):
@@ -163,24 +145,49 @@ def _gauge_normalize(psi):
     """Scale psi so its first partial-fraction coefficient is 1.
 
     Poles are ordered by (Im, Re); at each pole the highest-order coefficient
-    is inspected first.
+    is inspected first.  Returns the scaled psi and that term's (pole, order).
     """
-    if psi.is_zero:
-        return psi, 0j
     terms, _ = partial_fractions(psi)
     terms.sort(key=lambda t: (t[0].imag, t[0].real, -t[1]))
-    for _, _, c in terms:
+    for z, k, c in terms:
         if abs(c) > 1e-12:
-            return psi * (1.0 / c), c
+            return psi * (1.0 / c), (z, k)
     raise ValueError("no usable partial-fraction coefficient")
 
 
+def _coefficient(f, term):
+    """Coefficient of f at the (pole, order) term, 0 where f has none."""
+    z0, k0 = term
+    for z, k, c in partial_fractions(f)[0]:
+        if k == k0 and abs(z - z0) <= _CLUSTER * (1.0 + abs(z0)):
+            return c
+    return 0j
+
+
+def _mass(f):
+    """Pole count times the summed moduli of f's partial-fraction coefficients:
+    rounding in any sum of f's coefficients is at most _EPS times this."""
+    terms = partial_fractions(f)[0]
+    return len(terms) * sum(abs(c) for _, _, c in terms)
+
+
+def _coefficient_gap(f, h):
+    """Largest difference of matching partial-fraction coefficients of f and h."""
+    terms = partial_fractions(f)[0] + partial_fractions(h)[0]
+    return max(abs(_coefficient(f, (z, k)) - _coefficient(h, (z, k)))
+               for z, k, _ in terms)
+
+
 def _psi_from_probe(oracle, lam, g):
-    """(f - g/(x-lam) - c_f/(x-lam)) * (x - lam) = psi * A(lam)."""
+    """(f - g/(x-lam) - c_f/(x-lam)) * (x - lam) = psi * A(lam), with the
+    factor by which that subtraction amplifies rounding.  psi decays, so the
+    constant the product leaves is rounding and is dropped."""
     el = oracle.resolve(lam, g)
     pole = RatFun.simple_pole(lam)
     lhs = el.f - g * pole - el.c * pole
-    return _times_linear(lhs, lam), el.c
+    cond = (_mass(el.f) + _mass(g * pole) + abs(el.c)) / max(_mass(lhs), _EPS)
+    cand = _times_linear(lhs, lam)
+    return cand - cand.value_at_infinity, cond
 
 
 def _default_lam_grid():
@@ -190,94 +197,90 @@ def _default_lam_grid():
     return tuple(np.concatenate([lams, np.conj(lams)]))
 
 
-def recover_from_restricted_resolvent(oracle, lam_grid=None, ladder=_LADDER):
-    """Three-stage recovery of (psi, B, phibar_hat/D, M) from a ResolventOracle."""
+# stage-1 probes (mu, lam), two per half-plane, the lower ones the mirror
+# images of the upper ones; off the axis to dodge accidental zeros of A(lam)
+_PROBES = ((1.9j, 0.7 + 1.3j), (2.0 + 1.2j, -0.8 + 0.9j),
+           (-1.9j, 0.7 - 1.3j), (2.0 - 1.2j, -0.8 - 0.9j))
+
+
+def recover_from_restricted_resolvent(oracle, lam_grid=None):
+    """Recovery of (psi, B, phibar_hat/D, M) from a ResolventOracle.
+
+    Stage 1 reads psi off the resolvent of a sample at each probe; psi_r is
+    it in the gauge of ``_gauge_normalize``.  A sample at mu is
+    g_mu = (1 - a(mu) psi_r)/(x - mu), a = gauge * phibar_hat/D, so a(mu) is
+    minus the gauge-term coefficient of (x - mu) g_mu - 1.  Stage 2: for
+    el = resolve(lam, g_mu), (lam - mu) c_el = M(lam)/M(mu) - 1, and with
+    P = s pi i - psihat_r a = 1/M + B (s the sign of Im) that reads
+    1/M(lam) = (P(mu) - P(lam)) / ((lam - mu) c_el); lam and mu are probes in
+    opposite half-planes and B = P(lam) - 1/M(lam).  Stage 3 samples each
+    grid point once: M(lam) = 1/(P(lam) - B).
+
+    Each ``errors`` entry is the disagreement of two independent finite-point
+    routes plus a rounding floor, a few _EPS times the ``_mass`` that cancels
+    on the way: ``psi`` (relative to psi_r's largest coefficient) against the
+    other probes, ``B`` against a second probe pair, ``phibar_over_D`` (worst
+    on the grid) against the projection -<(x - mu) g_mu - 1, psi_r>/|psi_r|^2.
+    """
     lam_grid = _default_lam_grid() if lam_grid is None else tuple(map(complex, lam_grid))
     errors = {}
 
-    # probe points for stage 1; varied to dodge accidental zeros of A(lam)
-    probes = [(1.9j, 0.7 + 1.3j), (-1.7j, 0.4 - 1.1j), (2.0 + 1.2j, -0.8 + 0.9j)]
-
-    blocked = {"+": 0, "-": 0}
-    psi_raw = None
-    psi_checks = []
-    for mu0, lam0 in probes:
+    # stage 1: psi from each probe; every successful sample is kept
+    samples, blocked, cands = {}, [], []
+    for mu0, lam0 in _PROBES:
         try:
-            g = oracle.sample(mu0)
-            cand, _ = _psi_from_probe(oracle, lam0, g)
+            samples[mu0] = oracle.sample(mu0)
+            cand, cond = _psi_from_probe(oracle, lam0, samples[mu0])
         except EigenvalueError:
-            blocked["+" if mu0.imag > 0 else "-"] += 1
+            blocked.append(np.sign(mu0.imag))
             continue
         if l2_norm(cand) > 1e-9:
-            if psi_raw is None:
-                psi_raw = cand
-            else:
-                psi_checks.append(cand)
-    if blocked["+"] >= 2 or blocked["-"] >= 2:
+            cands.append((cand, cond))
+    if 2 in (blocked.count(1), blocked.count(-1)):
         raise ReconError(
             "one pathological case: every probe in a half-plane is an "
             "eigenvalue (boundary parameter +-i*pi with undetectable data); "
             "recovery impossible")
 
-    if psi_raw is None:
-        psi = RatFun.zero()
-        errors["psi"] = 0.0
-    else:
-        psi, _ = _gauge_normalize(psi_raw)
-        errs = []
-        for cand in psi_checks:
-            other, _ = _gauge_normalize(cand)
-            errs.append(l2_norm(psi - other) / max(l2_norm(psi), 1e-30))
-        errors["psi"] = float(max(errs)) if errs else 0.0
+    psi, errors["psi"] = RatFun.zero(), 0.0
+    if cands:
+        psi, term = _gauge_normalize(cands[0][0])
+        gap = max((_coefficient_gap(psi, _gauge_normalize(c)[0]) for c, _ in cands[1:]),
+                  default=0.0)
+        scale = max(abs(c) for _, _, c in partial_fractions(psi)[0])
+        errors["psi"] = float(gap / scale + 4 * _EPS * cands[0][1])
+        psi_sq = inner_product(psi, psi)
 
-    # stage 2: B from the lam = -mu asymptotics, extrapolated in 1/Im(mu)
-    ests = []
-    for h in ladder:
-        mu = 1j * h
-        g = oracle.sample(mu)
-        el = oracle.resolve(-mu, g)
-        lam = -mu
-        ests.append(-1j * PI - 2j * PI / ((lam - mu) * el.c))
-    B, b_err = _neville_zero([1.0 / h for h in ladder], ests)
-    B = complex(B)
-    errors["B"] = b_err
+    def p_of(mu, g):
+        """(P(mu), its error bound, a(mu), the error bound of a) from g_mu."""
+        if psi.is_zero:
+            return np.sign(mu.imag) * PI * 1j, 0.0, 0j, 0.0
+        r = _times_linear(g, mu) - 1.0
+        a = -_coefficient(r, term)
+        a_err = abs(a + inner_product(r, psi) / psi_sq) + _EPS * abs(a) * (8 + _mass(g))
+        ph = cauchy_transform(psi, mu)
+        p = np.sign(mu.imag) * PI * 1j - ph * a
+        return p, abs(ph) * a_err + 4 * _EPS * abs(p), a, a_err
 
-    # stage 3: phibar_hat/D on the lam grid
-    a_vals, m_vals = [], []
-    stage3_err = 0.0
-    if psi.is_zero:
-        for lam in lam_grid:
-            sgn = np.sign(lam.imag)
-            a_vals.append(0j)
-            m_vals.append(1.0 / (1j * PI * sgn - B))
-    else:
-        psi_hat = {lam: cauchy_transform(psi, lam) for lam in lam_grid}
-        xeval = 0.37  # arbitrary real point where psi is sampled
-        for lam in lam_grid:
-            sgn = np.sign(lam.imag)
-            ks = []
-            for h in ladder:
-                mu = 1j * sgn * h
-                g = oracle.sample(mu)
-                el = oracle.resolve(lam, g)
-                pole = RatFun.simple_pole(lam)
-                lhs = el.f - g * pole - el.c * pole
-                t_val = -complex(_times_linear(lhs, lam)(xeval)) / complex(psi(xeval))
-                ks.append((lam - mu) * t_val)
-            k_inf, k_err = _neville_zero([1.0 / h for h in ladder], ks)
-            stage3_err = max(stage3_err, k_err)
-            denom = 1j * PI * sgn - B
-            if abs(denom) < 1e-8:
-                raise ReconError(
-                    "one pathological case: boundary parameter equals "
-                    "+-i*pi; the transform ratio is not recoverable")
-            alpha = complex(k_inf) / denom
-            a_val = alpha * denom / (1.0 + alpha * psi_hat[lam])
-            a_vals.append(a_val)
-            m_vals.append(1.0 / (1j * PI * sgn - psi_hat[lam] * a_val - B))
-    errors["phibar_over_D"] = stage3_err
+    # stage 2: B from two probe pairs in opposite half-planes
+    parts = {mu: p_of(mu, g) for mu, g in samples.items()}
+    ups = [mu for mu in samples if mu.imag > 0]
+    downs = [mu for mu in samples if mu.imag < 0]
+    routes = []
+    for lam, mu in ((ups[0], downs[0]), (downs[-1], ups[-1])):
+        el = oracle.resolve(lam, samples[mu])
+        (p_l, e_l, *_), (p_m, e_m, *_) = parts[lam], parts[mu]
+        inv_m = (p_m - p_l) / ((lam - mu) * el.c)
+        rel = (e_m + e_l) / abs(p_m - p_l) + _EPS * (8 + _mass(el.f) / abs(el.c))
+        routes.append((p_l - inv_m, e_l + abs(inv_m) * rel))
+    (B, b_err), (B2, _) = routes
+    errors["B"] = float(abs(B - B2) + b_err)
 
-    return RecoveryResult(psi, B, lam_grid, tuple(a_vals), tuple(m_vals), errors)
+    # stage 3: a and M on the grid, one sample per point
+    grid = [p_of(lam, None if psi.is_zero else oracle.sample(lam)) for lam in lam_grid]
+    errors["phibar_over_D"] = float(max((a_err for *_, a_err in grid), default=0.0))
+    return RecoveryResult(psi, complex(B), lam_grid, tuple(a for _, _, a, _ in grid),
+                          tuple(1.0 / (p - B) for p, *_ in grid), errors)
 
 
 # ---------------------------------------------------------------------------
@@ -309,33 +312,22 @@ def m_from_one_bordered(pairing_fn, v, vt, lams, tol=1e-12):
 
     v, vt are nonnegative piecewise weights supported in a common interval
     set disjoint from the supports of phi and psi; pairing_fn(lam) supplies
-    <(A_B-lam)^{-1} v, vt>.  Grid points where a denominator factor falls
+    <(A_B-lam)^{-1} v, vt>.  Real weights make conj(vt) = vt, so the three
+    transforms are Cauchy transforms of v, vt and their product (closed form
+    for indicator pieces).  Grid points where a denominator factor falls
     below tol are skipped with ok=False.
     """
+    prod = piecewise_product(v, vt)
     out = []
     for lam in map(complex, lams):
-        num = _window_quad(v, vt, lam) - complex(pairing_fn(lam))
-        d1 = _window_quad(v, None, lam)
-        d2 = _window_quad(None, vt, lam)
+        num = cauchy_transform_num(prod, lam) - complex(pairing_fn(lam))
+        d1 = cauchy_transform_num(v, lam)
+        d2 = cauchy_transform_num(vt, lam)
         if abs(d1) < tol or abs(d2) < tol:
             out.append((lam, None, False))
             continue
         out.append((lam, num / (d1 * d2), True))
     return out
-
-
-def _window_quad(v, vt, lam):
-    """int v(t) conj(vt(t)) / (t - lam) dt with either factor defaulting to 1."""
-    pw = v if v is not None else vt
-    total = 0j
-    for a, b in pw.support:
-        def f(t):
-            val = np.ones_like(t, dtype=complex) if v is None else np.asarray(v(t))
-            if vt is not None:
-                val = val * np.conj(np.asarray(vt(t)))
-            return val / (t - lam)
-        total += quad_gk(f, a, b)
-    return total
 
 
 def bordered_from_m(m_lam, lam, mu, mu_t, f, w, F_pair_v, gamma2t_v):

@@ -272,11 +272,11 @@ def test_restricted_resolvent_recovery_and_pathology():
     res = recover_from_restricted_resolvent(ResolventOracle(mod))
     gamma = complex(res.psi(0.5)) / complex(mod.psi(0.5))
     rel = np.max(np.abs(res.psi(XS) - gamma * mod.psi(XS))) / np.max(np.abs(mod.psi(XS)))
-    assert rel < 1e-3
-    assert abs(res.B - mod.B) < 1e-3
+    assert rel < 1e-10
+    assert abs(res.B - mod.B) < 1e-10
     assert len(res.lams) == 20
     for lam, m in zip(res.lams, res.m_values):
-        assert abs(m - m_function(mod, lam).M) < 1e-3
+        assert abs(m - m_function(mod, lam).M) < 1e-10
 
     # boundary parameter i*pi with one-sided data: the upper half-plane fills
     # with eigenvalues and recovery must refuse rather than return garbage

@@ -1,5 +1,6 @@
 """Every name a module of src/fmlab imports is used in it, or exported by
-__all__; every module-level private name is used somewhere in src/fmlab."""
+__all__; every module-level private name is used somewhere in src/fmlab;
+adaptive quadrature is imported only where piecewise data is integrated."""
 import ast
 import pathlib
 
@@ -78,6 +79,21 @@ def unreferenced_private_names(sources):
 def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def quad_gk_importers(sources):
+    """Modules among sources (module name -> text) that import quad_gk."""
+    return sorted(mod for mod, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ImportFrom)
+                  and any(a.name == "quad_gk" for a in node.names))
+
+
+def test_quadrature_lives_in_hardy_and_detect():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert set(quad_gk_importers(sources)) <= {"hardy", "detect"}
+    assert quad_gk_importers({"a": "from .hardy import quad_gk as q\n",
+                              "b": "from .hardy import riesz_split\n"}) == ["a"]
 
 
 def test_private_name_scan_sees_uses_across_modules():

@@ -32,12 +32,12 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .ratfun import (
-    Poly, RatFun, REAL_BAND, _CLUSTER, cauchy_transform,
+    Poly, RatFun, REAL_BAND, _CLUSTER,
     companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
 )
 from .hardy import (
-    boundary_value, cauchy_transform_num, factorize_rational,
-    piecewise_product, quad_gk, riesz_split,
+    _shaped, boundary_value, cauchy_transform_num, factorize_rational,
+    piecewise_product, quad_gk,
 )
 from .friedrichs import FriedrichsModel
 
@@ -131,38 +131,31 @@ class RankCheck:
 
 
 # ---------------------------------------------------------------------------
-# generic scalar transforms that work for rational and piecewise data
+# transforms of products, for rational and piecewise data
 # ---------------------------------------------------------------------------
 
 def _phibar_of(f):
     return conj_reflect(f) if isinstance(f, RatFun) else f
 
 
-def _hat(f, lam):
-    """int f(t)/(t - lam) dt for rational or piecewise f, lam off the axis."""
-    if isinstance(f, RatFun):
-        return cauchy_transform(f, lam)
-    return cauchy_transform_num(f, lam)
-
-
 def _support_quad(pw, g, lam):
-    """int pw(t) g(t)/(t - lam) over the support of the piecewise factor."""
-    total = 0j
-    for a, b in pw.support:
-        total += quad_gk(lambda t: pw(t) * g(t) / (t - lam), a, b)
-    return total
+    """int pw(t) g(t)/(t - lam) over the support of the piecewise factor, at
+    each lam of a scalar or an array."""
+    lams = np.asarray(lam, dtype=complex).ravel()
+    out = [sum((quad_gk(lambda t: pw(t) * g(t) / (t - z), a, b) for a, b in pw.support), 0j)
+           for z in lams.tolist()]
+    return _shaped(np.array(out, dtype=complex), lam)
 
 
 def _hat_product(a, b, lam):
-    """int a(t) b(t)/(t - lam) dt for rational or piecewise a and b.
+    """int a(t) b(t)/(t - lam) dt for rational or piecewise a and b, lam a
+    scalar or an array.
 
-    Rational factors multiply in closed form.  Any piecewise factor makes
-    a b one piecewise function (`piecewise_product`, which also takes a
-    rational factor); disjoint supports give no pieces, so exactly 0.  Only
-    an overlap that is none of the piece kinds integrates the two factors.
+    `piecewise_product` makes a b one function: rational factors multiply
+    in closed form, and any piecewise factor gives one piecewise function;
+    disjoint supports give no pieces, so exactly 0.  Only an overlap that
+    is none of the piece kinds integrates the two factors.
     """
-    if isinstance(a, RatFun) and isinstance(b, RatFun):
-        return _hat(a * b, lam)
     try:
         prod = piecewise_product(a, b)
     except ValueError:
@@ -172,7 +165,8 @@ def _hat_product(a, b, lam):
 
 
 def _d_at(phi, psi, lam):
-    """Perturbation determinant 1 + int psi phibar/(t - lam)."""
+    """Perturbation determinant 1 + int psi phibar/(t - lam), lam a scalar
+    or an array."""
     return 1.0 + _hat_product(psi, _phibar_of(phi), lam)
 
 
@@ -449,63 +443,35 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
     Vanishing (below ~1e-8) certifies g orthogonal to every solution-operator
     range, i.e. g in S-perp.  The pairing divided by M_B(mu) is B-independent,
     so the default drops the M factor; passing Bs multiplies it back in for
-    each B in the list (same pass/fail by construction).  Raises ValueError
-    when no probe gives a pairing, rather than certifying nothing as zero.
+    each B in the list (same pass/fail by construction).  Probes within
+    REAL_BAND of the axis or next to a pole of the rational data are
+    skipped, and so are those where |D| < 1e-9.  Raises ValueError when no
+    probe gives a pairing, rather than certifying nothing as zero.
     """
     phi, psi = model.phi, model.psi
-    phibar = _phibar_of(phi)
-    gbar = conj_reflect(g) if isinstance(g, RatFun) else g
+    phibar, gbar = _phibar_of(phi), _phibar_of(g)
     gnorm = _l2_of(g)
     if gnorm == 0:
         raise ValueError("zero candidate")
-    if all(isinstance(f, RatFun) for f in (phi, psi, g)):
-        probes = _rational_probes(psi, phibar, gbar, mus)
-    else:
-        probes = []
-        for mu in mus:
-            try:
-                D = _d_at(phi, psi, mu)
-                if abs(D) < 1e-9:
-                    continue
-                fh = _hat(phibar, mu)
-                F = _hat(gbar, mu) - (fh / D) * _hat_product(psi, gbar, mu)
-            except ValueError:
-                continue    # probe collided with a pole; plenty of grid remains
-            probes.append((mu, D, fh, F))
-    if not probes:
-        raise ValueError("no probe point gave a pairing; nothing is certified")
-    worst = 0.0
-    for mu, D, fh, F in probes:
-        scale = np.sqrt(abs(mu.imag) / PI) / gnorm
-        if Bs is None:
-            worst = max(worst, abs(F) * scale)
-        else:
-            sign = np.sign(mu.imag)
-            ph = _hat(psi, mu)
-            for B in Bs:
-                bracket = sign * PI * 1j - ph * fh / D - complex(B)
-                if abs(bracket) < 1e-10:
-                    continue
-                worst = max(worst, abs(F / bracket) * scale)
-    return worst
-
-
-def _rational_probes(psi, phibar, gbar, mus):
-    """(mu, D, phibar_hat, F) of sperp_residual for rational data: the
-    products psi phibar and psi gbar are built once, and every transform is
-    one vectorized cauchy_transform over the probes that are off the axis,
-    clear of every pole and where |D| >= 1e-9."""
-    h, k = psi * phibar, psi * gbar
-    poles = [p.location for f in (h, k, gbar, phibar) for p in f.poles]
+    poles = [p.location for f in (psi, phibar, gbar) for p in f.poles]
     lam = np.array([mu for mu in map(complex, mus) if abs(mu.imag) >= REAL_BAND
                     and all(abs(z - mu) > _CLUSTER * (1.0 + abs(mu)) for z in poles)],
                    dtype=complex)
-    D = 1.0 + cauchy_transform(h, lam)
+    D = _d_at(phi, psi, lam)
     keep = np.abs(D) >= 1e-9
     lam, D = lam[keep], D[keep]
-    fh = cauchy_transform(phibar, lam)
-    F = cauchy_transform(gbar, lam) - (fh / D) * cauchy_transform(k, lam)
-    return list(zip(lam.tolist(), D.tolist(), fh.tolist(), F.tolist()))
+    if not lam.size:
+        raise ValueError("no probe point gave a pairing; nothing is certified")
+    fh = cauchy_transform_num(phibar, lam)
+    F = cauchy_transform_num(gbar, lam) - (fh / D) * _hat_product(psi, gbar, lam)
+    scale = np.sqrt(np.abs(lam.imag) / PI) / gnorm
+    if Bs is None:
+        return float(np.max(np.abs(F) * scale))
+    bracket = (np.sign(lam.imag)[:, None] * PI * 1j
+               - (cauchy_transform_num(psi, lam) * fh / D)[:, None]
+               - np.asarray(Bs, dtype=complex))
+    ok = np.abs(bracket) >= 1e-10
+    return float(np.max(np.abs(F[:, None] / bracket) * scale[:, None], where=ok, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -643,42 +609,27 @@ def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
     phibar = _phibar_of(phi)
 
     def scan(npts):
-        ks, vs, agree = [], [], 0.0
-        for a, b in sup_psi:
-            pad = (b - a) * 1e-3
-            grid = np.linspace(a + pad, b - pad, npts)
-            for k in grid:
-                vm = 1.0 - complex(psi(k)) * boundary_value(phibar, k, "-")
-                vp = 1.0 - complex(psi(k)) * boundary_value(phibar, k, "+")
-                agree = max(agree, abs(vp - vm))
-                ks.append(k)
-                vs.append(vm)
-        return np.array(ks), np.array(vs), agree
+        ks = np.concatenate([np.linspace(a + (b - a) * 1e-3, b - (b - a) * 1e-3, npts)
+                             for a, b in sup_psi])
+        vm = 1.0 - psi(ks) * boundary_value(phibar, ks, "-")
+        vp = 1.0 - psi(ks) * boundary_value(phibar, ks, "+")
+        return ks, vm, float(np.max(np.abs(vp - vm)))
+
+    def zero_spans(ks, vs):
+        """(first k, last k) of each run of |v| < tol at least two grid
+        spacings long."""
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], np.abs(vs) < tol, [0]])))
+        spacing = (ks[1] - ks[0]) if len(ks) > 1 else 0.0
+        return [(ks[i], ks[j - 1]) for i, j in zip(edges[::2], edges[1::2])
+                if ks[j - 1] - ks[i] >= 2 * spacing]
 
     ks, vs, agree = scan(n)
     min_abs = float(np.min(np.abs(vs)))
     if min_abs > tol:
         return DisjointReport("FULL", (), min_abs, agree)
-
-    def zero_intervals(ks, vs):
-        mask = np.abs(vs) < tol
-        spans = []
-        start = None
-        for i, m in enumerate(mask):
-            if m and start is None:
-                start = i
-            elif not m and start is not None:
-                spans.append((ks[start], ks[i - 1]))
-                start = None
-        if start is not None:
-            spans.append((ks[start], ks[-1]))
-        return spans
-
-    spacing = (ks[1] - ks[0]) if len(ks) > 1 else 0.0
-    spans1 = [s for s in zero_intervals(ks, vs) if s[1] - s[0] >= 2 * spacing]
+    spans1 = zero_spans(ks, vs)
     ks2, vs2, agree2 = scan(2 * n)
-    spacing2 = ks2[1] - ks2[0]
-    spans2 = [s for s in zero_intervals(ks2, vs2) if s[1] - s[0] >= 2 * spacing2]
+    spans2 = zero_spans(ks2, vs2)
     agree = max(agree, agree2)
     if spans1 and spans2:
         return DisjointReport("INFINITE_DEFECT", tuple(spans2),
@@ -703,16 +654,14 @@ def mb_jump(model, k, tol=1e-8):
     k = float(k)
     phi, psi, B = model.phi, model.psi, complex(model.B)
     phibar = _phibar_of(phi)
+    prod = piecewise_product(psi, phibar)
 
     def minv(side):
         """M^{-1}(k +- i0) and the size of the terms summed into it."""
         sgn = PI * 1j if side == "+" else -PI * 1j
         ph = boundary_value(psi, k, side)
         fh = boundary_value(phibar, k, side)
-        if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-            D = 1.0 + boundary_value(psi * phibar, k, side)
-        else:
-            D = 1.0 + boundary_value(piecewise_product(psi, phibar), k, side)
+        D = 1.0 + boundary_value(prod, k, side)
         if abs(D) < 1e-12:
             raise ZeroDivisionError(f"determinant vanishes at {k}{side}i0")
         t = ph * fh / D
@@ -800,25 +749,13 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
 
     script-M(k) = (P_plus phibar)(k) psi(k) - P_plus(psi phibar)(k); its
     2 pi i multiple is the boundary curve of the exceptional set in the
-    1/alpha plane.  Rational data uses Riesz projections in closed form;
-    data with a piecewise factor (the other may be rational) one-sided
-    boundary values of phibar and of the piecewise product psi phibar.
+    1/alpha plane.  2 pi i P_plus f is the boundary value fhat(k + i0) of
+    the Cauchy transform, for rational and piecewise data alike, and
+    psi phibar is their `piecewise_product`.
     """
-    phi, psi = model.phi, model.psi
-    phibar = _phibar_of(phi)
+    phibar = _phibar_of(model.phi)
     ks = np.linspace(-halfwidth, halfwidth, n)
-    if isinstance(phi, RatFun) and isinstance(psi, RatFun):
-        pb_plus, _ = riesz_split(phibar) if not phibar.is_zero else (RatFun.zero(),) * 2
-        prod = psi * phibar
-        pr_plus = riesz_split(prod)[0] if not prod.is_zero else RatFun.zero()
-        script = pb_plus * psi - pr_plus
-        vals = script(ks)
-    else:
-        prod = piecewise_product(psi, phibar)
-
-        def pplus(f, k):
-            return boundary_value(f, k, "+") / (2j * PI)
-        vals = np.array([
-            pplus(phibar, k) * complex(psi(k)) - pplus(prod, k) for k in ks])
-    return SymbolCurve(ks, 2j * PI * vals)
+    prod = piecewise_product(model.psi, phibar)
+    vals = boundary_value(phibar, ks, "+") * model.psi(ks) - boundary_value(prod, ks, "+")
+    return SymbolCurve(ks, vals)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ratfun import (
     Poly, RatFun, REAL_BAND, cauchy_transform, conj_reflect, inner_product,
-    poly_roots, pv_integral,
+    pv_integral,
 )
 from .hardy import riesz_split
 
@@ -137,23 +137,6 @@ class FriedrichsModel:
         fp, fm = self._phibar_parts
         return 2j * PI * complex(fp(lam)) if lam.imag > 0 else -2j * PI * complex(fm(lam))
 
-    @cached_property
-    def d_zeros(self):
-        """Zeros of the two half-plane branches of D, as (location, multiplicity).
-
-        Only zeros lying in the branch's own half-plane are physical D-zeros;
-        each branch's full root list is kept for continuation work.
-        """
-        out = {"upper": [], "lower": []}
-        hp, hm = self._h_parts
-        up = RatFun.const(1.0) + 2j * PI * hp
-        dn = RatFun.const(1.0) - 2j * PI * hm
-        if not up.num.is_zero and up.num.degree >= 1:
-            out["upper"] = [(z, m) for z, m in poly_roots(up.num) if z.imag > REAL_BAND]
-        if not dn.num.is_zero and dn.num.degree >= 1:
-            out["lower"] = [(z, m) for z, m in poly_roots(dn.num) if z.imag < -REAL_BAND]
-        return out
-
     def __repr__(self):
         return f"FriedrichsModel(B={self.B})"
 
@@ -190,39 +173,34 @@ def solution_operator(model, lam, f=1.0):
     """Kernel element u of the maximal operator at lam with (Gamma_1 - B Gamma_2)u = f.
 
     u = M_B(lam) f [ (x-lam)^{-1} - (phibar_hat/D) psi(x)/(x-lam) ];
-    Gamma_2 u = M_B(lam) f.
+    Gamma_2 u = M_B(lam) f, returned as c; Gamma_1 u is the integral of u.
     """
     mv = m_function(model, lam)
     if mv.infinite:
         raise EigenvalueError(f"lam={lam} is an eigenvalue of A_B")
-    f = complex(f)
-    if f == 0:
-        return DomainElement(RatFun.zero(), 0j, 0j, 0j)
     pole = RatFun.simple_pole(lam)
-    u = (mv.M * f) * (pole - (mv.phibar_hat / mv.D) * (model.psi * pole))
-    return traces(u)
+    c = complex(mv.M * complex(f))
+    u = c * (pole - (mv.phibar_hat / mv.D) * (model.psi * pole))
+    return DomainElement(u, c, pv_integral(u), c)
 
 
 def apply_resolvent(model, lam, g):
-    """Solve (A_B - lam) f = g for rational L2 data g; returns the domain element f."""
+    """Solve (A_B - lam) f = g for rational L2 data g; returns the domain
+    element f, whose c is the c_f it was assembled with."""
     lam = complex(lam)
     if not g.is_L2:
         raise ValueError("g must be rational L2")
     mv = m_function(model, lam)
     if mv.infinite:
         raise EigenvalueError(f"lam={lam} is an eigenvalue of A_B")
-    if g.is_zero:
-        return DomainElement(RatFun.zero(), 0j, 0j, 0j)
     g_hat = cauchy_transform(g, lam)
     g_phi = cauchy_transform(g * model.phibar, lam)
-    c_f = mv.M * (-g_hat + g_phi * mv.psi_hat / mv.D)
+    c_f = complex(mv.M * (-g_hat + g_phi * mv.psi_hat / mv.D))
     pole = RatFun.simple_pole(lam)
     psi_pole = model.psi * pole
     f = (g * pole - (g_phi / mv.D) * psi_pole
          + c_f * (pole - (mv.phibar_hat / mv.D) * psi_pole))
-    el = traces(f)
-    # traces() recomputes c from the decay; f was assembled to make it c_f
-    return DomainElement(el.f, el.c, el.gamma1, el.gamma2)
+    return DomainElement(f, c_f, pv_integral(f), c_f)
 
 
 def apply_adjoint(model, el, variant="tilde_star"):

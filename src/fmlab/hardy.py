@@ -1,13 +1,17 @@
 """Hardy-space machinery: Riesz projections, boundary values, quadrature, Blaschke products.
 
-The rational paths are closed-form (partial fractions / residues).  Piecewise
-data is summed piece by piece: indicator pieces are closed form, since
-int_a^b dt/(t - lam) = log((b - lam)/(a - lam)); the other pieces go through
-adaptive Gauss-Kronrod quadrature, with the value at lam subtracted where
-the integrand is near-singular (principal-value points, and
-reciprocal-cauchy-of pieces next to lam).  ``quad_gk`` also serves as the
-independent oracle of the closed forms in the tests.  One-sided boundary
-values follow the Sokhotski-Plemelj convention
+``cauchy_transform_num`` and ``boundary_value`` take either kind of data,
+a ``RatFun`` or a ``PiecewiseFun``, at a scalar point or an array of points;
+they are the one place that chooses between the two kinds.  The rational
+paths are closed-form (partial fractions / residues) and vectorized.
+Piecewise data is summed piece by piece, point by point: indicator pieces
+are closed form, since int_a^b dt/(t - lam) = log((b - lam)/(a - lam));
+the other pieces go through adaptive Gauss-Kronrod quadrature, with the
+value at lam subtracted where the integrand is near-singular
+(principal-value points, and reciprocal-cauchy-of pieces next to lam).
+``quad_gk`` also serves as the independent oracle of the closed forms in
+the tests.  One-sided boundary values follow the Sokhotski-Plemelj
+convention
 
     fhat(k +- i0) = p.v. int f(t)/(t-k) dt  +-  i*pi*f(k).
 """
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratfun import RatFun, REAL_BAND, poly_roots, poly_from_roots
+from .ratfun import RatFun, REAL_BAND, cauchy_transform, poly_roots, poly_from_roots
 
 __all__ = [
     "PiecewiseFun", "BlaschkeProduct", "Factorization", "QuadratureError",
@@ -181,6 +185,12 @@ class PiecewiseFun:
     def support(self):
         return tuple(sorted((p.a, p.b) for p in self.pieces))
 
+    @property
+    def poles(self):
+        """No poles, as for a RatFun: the transforms of compactly supported
+        data are analytic off the support."""
+        return ()
+
     @staticmethod
     def indicator(a, b):
         return PiecewiseFun((Piece(float(a), float(b), "indicator"),))
@@ -198,7 +208,7 @@ class PiecewiseFun:
 
 def piecewise_product(f, g):
     """Pointwise product of two piecewise functions, or of a piecewise and a
-    rational one, with one piece per overlap.
+    rational one, with one piece per overlap; of two rational ones, f * g.
 
     On the intersection of two pieces' intervals an indicator times any piece
     is that piece restricted to the intersection, and a rational restriction
@@ -208,6 +218,8 @@ def piecewise_product(f, g):
     piece times a rational restriction or another reciprocal-cauchy-of piece
     is none of the piece kinds, so that overlap raises ValueError.
     """
+    if isinstance(f, RatFun) and isinstance(g, RatFun):
+        return f * g
     if isinstance(f, RatFun):
         f, g = g, f
     if isinstance(g, RatFun):
@@ -286,33 +298,45 @@ def _piece_transform(p, lam, tol=1e-9):
     return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b, tol=tol)
 
 
+def _shaped(out, x):
+    """The flat results out at the points x: a complex for a scalar x, else
+    an array of x's shape."""
+    return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
 def boundary_value(f, k, side="+"):
-    """One-sided Cauchy-transform boundary value fhat(k +- i0).
+    """One-sided Cauchy-transform boundary value fhat(k +- i0), k a real
+    scalar or array.
 
     Rational inputs (bounded at infinity, no real pole) are closed form:
     with f = f0 + f_lower + f_upper, f0 the value at infinity and f_lower,
     f_upper the principal parts below and above the axis,
     fhat(k + i0) = 2 pi i f_lower(k) + pi i f0 and
     fhat(k - i0) = -2 pi i f_upper(k) - pi i f0.  Piecewise inputs sum
-    their pieces.  On the piece that holds k the principal value is
-    f(k) log((b - k)/(k - a)) plus the integral of the bounded
+    their pieces at each k.  On the piece that holds k the principal value
+    is f(k) log((b - k)/(k - a)) plus the integral of the bounded
     (f(t) - f(k))/(t - k), which an indicator does not need.  Pieces off k
     are ordinary integrals, closed form for indicators (see
     ``cauchy_transform_num``).
     """
-    k = float(k)
+    ks = np.asarray(k, dtype=float).ravel()
     sgn = 1.0 if side in ("+", +1) else -1.0
     if isinstance(f, RatFun):
         for p in f.poles:
-            if abs(p.location - k) < 1e-9 * (1 + abs(k)):
+            if np.any(np.abs(p.location - ks) < 1e-9 * (1 + np.abs(ks))):
                 raise ValueError("boundary value at a real pole of f")
             if p.half_plane == "REAL":
                 raise ValueError("principal value at real pole unsupported here")
-        f0 = f.value_at_infinity
-        if sgn > 0:
-            return 2j * np.pi * f.principal_part("lower")(k) + 1j * np.pi * f0
-        return -2j * np.pi * f.principal_part("upper")(k) - 1j * np.pi * f0
-    # piecewise path
+        part = f.principal_part("lower" if sgn > 0 else "upper")
+        out = sgn * (2j * np.pi * part(ks) + 1j * np.pi * f.value_at_infinity)
+    else:
+        out = np.array([_piecewise_boundary_value(f, x, sgn) for x in ks.tolist()],
+                       dtype=complex)
+    return _shaped(out, k)
+
+
+def _piecewise_boundary_value(f, k, sgn):
+    """boundary_value of piecewise f at one real k; sgn is +-1."""
     pv = 0j
     fk = 0j
     for p in f.pieces:
@@ -343,17 +367,27 @@ def boundary_value(f, k, side="+"):
 
 
 def cauchy_transform_num(f, lam, tol=1e-9):
-    """Cauchy transform int f(t)/(t - lam) dt of a piecewise function.
+    """Cauchy transform int f(t)/(t - lam) dt of rational or piecewise f,
+    lam a scalar or an array.
 
-    lam is off the support, or within REAL_BAND of the axis, where the value
-    is the principal value (the mean of the two boundary values).  Indicator
-    pieces are closed form, reciprocal-cauchy-of pieces near lam subtract
-    their value at lam, and the rest is adaptive quadrature.
+    Each lam is off the support, or within REAL_BAND of the axis, where the
+    value is the principal value (the mean of the two boundary values).  A
+    rational f is ``ratfun.cauchy_transform``, closed form.  For piecewise f
+    indicator pieces are closed form, reciprocal-cauchy-of pieces near lam
+    subtract their value at lam, and the rest is adaptive quadrature.
     """
-    lam = complex(lam)
-    if abs(lam.imag) < REAL_BAND:
-        return boundary_value(f, lam.real, "+") - 1j * np.pi * complex(f(lam.real))
-    return sum((_piece_transform(p, lam, tol) for p in f.pieces), 0j)
+    lams = np.asarray(lam, dtype=complex).ravel()
+    axis = np.abs(lams.imag) < REAL_BAND
+    out = np.empty(lams.shape, dtype=complex)
+    if axis.any():
+        k = lams.real[axis]
+        out[axis] = boundary_value(f, k, "+") - 1j * np.pi * f(k)
+    if isinstance(f, RatFun):
+        out[~axis] = cauchy_transform(f, lams[~axis])
+    else:
+        out[~axis] = [sum((_piece_transform(p, z, tol) for p in f.pieces), 0j)
+                      for z in lams[~axis].tolist()]
+    return _shaped(out, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -258,8 +258,8 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
         big = np.nonzero(gaps > 4 * med)[0]
         if big.size == 0:
             break
-        extra = np.concatenate([np.linspace(ts[i], ts[i + 1], 6)[1:-1] for i in big])
-        ts = np.sort(np.concatenate([ts, extra]))
+        extra = ts[big, None] + np.arange(1, 5) * ((ts[big + 1] - ts[big]) / 5)[:, None]
+        ts = np.sort(np.concatenate([ts, extra.ravel()]))
     pts = 2j * PI * _xi_eval(data, ts)
 
     # branch split where the parametrization still jumps (near-real poles)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab import hardy
-from fmlab.ratfun import Poly, RatFun, poly_from_roots, poly_roots, conj_reflect
+from fmlab.ratfun import (Poly, RatFun, cauchy_transform, poly_from_roots, poly_roots,
+                          conj_reflect)
 from fmlab.hardy import (
     _CHUNK, _NODES, _WEIGHTS, PiecewiseFun, QuadratureError, blaschke_build,
     boundary_value, cauchy_transform_num, factorize_rational, piecewise_product,
@@ -239,6 +240,9 @@ def test_piecewise_product_pieces():
     for other in (recip, PiecewiseFun.restriction(r, 2.0, 4.0)):
         with pytest.raises(ValueError, match="reciprocal-cauchy-of"):
             piecewise_product(other, recip)
+    # two rational factors: their product
+    xs = np.linspace(-3.0, 3.0, 13)
+    assert same_bits(piecewise_product(r, conj_reflect(r))(xs), (r * conj_reflect(r))(xs))
 
 
 def test_piecewise_plemelj():
@@ -343,6 +347,31 @@ def test_reciprocal_cauchy_subtraction_keeps_integrand_bounded(monkeypatch):
         points.clear()
         cauchy_transform_num(RC, lam)
         assert sum(points) <= 15 * 8, lam
+
+
+# one entry point per transform for both kinds of data, at one point or many
+KINDS = {
+    "ratfun": RatFun(Poly([1.0, 2.0 - 1j]), poly_from_roots([0.5 - 1j, -1 + 2j])),
+    "indicator": PiecewiseFun.indicator(*IND),
+    "restriction": PiecewiseFun.restriction(RatFun.simple_pole(0.3 + 1j), -0.5, 1.5),
+    "reciprocal-cauchy": RC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_array_call_is_the_scalar_calls(name):
+    f = KINDS[name]
+    ks = np.array([-2.3, -0.2, 0.41, 1.1, 2.62, 3.7])
+    for side in ("+", "-"):
+        assert same_bits(boundary_value(f, ks, side),
+                         [boundary_value(f, k, side) for k in ks])
+    # the last point is in the real band: a principal value
+    lams = np.array([0.4 + 0.8j, -1.1 - 0.3j, 2.5 + 1e-3j, 1.9 - 2.2j, 0.41 + 1e-12j])
+    got = cauchy_transform_num(f, lams)
+    assert same_bits(got, [cauchy_transform_num(f, lam) for lam in lams])
+    assert got.shape == lams.shape and isinstance(cauchy_transform_num(f, lams[0]), complex)
+    if name == "ratfun":
+        assert same_bits(got[:-1], cauchy_transform(f, lams[:-1]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,15 @@
 """Every name a module of src/fmlab imports is used in it, or exported by
 __all__; every module-level private name is used somewhere in src/fmlab;
-adaptive quadrature is imported only where piecewise data is integrated."""
+every method and property of a class in src/fmlab is referenced from src,
+tests or perfbench; adaptive quadrature is imported only where piecewise
+data is integrated."""
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fmlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fmlab"
 
 
 def unused_imports(source):
@@ -102,3 +105,31 @@ def test_private_name_scan_sees_uses_across_modules():
                      "class _C:\n    pass\n"),
                "b": "from a import _Y\nimport a\n_W, _V = a._U, 2\nprint(_V)\n__all__ = []\n"}
     assert unreferenced_private_names(sources) == [("a", "_C"), ("a", "_f"), ("b", "_W")]
+
+
+def unreferenced_members(defining, referencing):
+    """(module, class, name) of each method or property of a class in the
+    defining sources (module name -> text) whose name no attribute access in
+    the referencing texts uses; dunders are left out, the language calls
+    them."""
+    members = [(mod, cls.name, f.name) for mod, text in defining.items()
+               for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and not (f.name.startswith("__") and f.name.endswith("__"))]
+    attrs = {n.attr for text in referencing for n in ast.walk(ast.parse(text))
+             if isinstance(n, ast.Attribute)}
+    return sorted(m for m in members if m[2] not in attrs)
+
+
+def test_every_class_member_is_referenced():
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    referencing = [p.read_text(encoding="utf-8") for d in ("src", "tests", "perfbench")
+                   for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_members(defining, referencing) == []
+
+
+def test_member_scan_sees_attribute_uses():
+    source = ("class A:\n    def __init__(self):\n        self.f()\n"
+              "    def f(self):\n        pass\n    @property\n    def g(self):\n"
+              "        return 1\n    def h(self):\n        pass\n")
+    assert unreferenced_members({"a": source}, [source, "A().h()\n"]) == [("a", "A", "g")]

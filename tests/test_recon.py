@@ -14,7 +14,7 @@ from fmlab.hardy import PiecewiseFun, cauchy_transform_num, quad_gk
 from fmlab.friedrichs import (FriedrichsModel, apply_resolvent, m_function,
                               solution_operator, tilde_model)
 from fmlab.scancli import _draw_l2, main, model_to_json
-from fmlab.detect import PiecewiseModel, _d_at, _hat, _phibar_of
+from fmlab.detect import PiecewiseModel, _d_at, _phibar_of
 from fmlab.recon import (ReconError, ResolventOracle, bordered_from_m,
                          m_from_one_bordered, m_from_two_resolvents,
                          pairing_m_value, recover_from_ranges,
@@ -144,6 +144,13 @@ def recon_draws(n=200):
             for _ in range(n)]
 
 
+def test_solution_operator_c_is_the_m_value_near_a_psi_pole():
+    # lam is 0.003 from the psi pole 0.2003 + 0.9029i of draw 145, where the
+    # residues of u are hundreds of times their sum
+    mod, lam = recon_draws(146)[145], 0.2 + 0.9j
+    assert solution_operator(mod, lam).c == m_function(mod, lam).M
+
+
 def test_restricted_resolvent_random_draws():
     # draws 25, 39 and 168 were the worst of the 200 under the old
     # Im(mu) -> infinity extrapolation
@@ -261,9 +268,8 @@ def model_m(model, lam):
     """M(lam) = 1/(sgn(Im lam) pi i - psihat phibarhat/D - B) for rational or
     piecewise model data."""
     phi, psi = model.phi, model.psi
-    bracket = (np.sign(lam.imag) * np.pi * 1j
-               - _hat(psi, lam) * _hat(_phibar_of(phi), lam) / _d_at(phi, psi, lam)
-               - complex(model.B))
+    ph, fh = cauchy_transform_num(psi, lam), cauchy_transform_num(_phibar_of(phi), lam)
+    bracket = np.sign(lam.imag) * np.pi * 1j - ph * fh / _d_at(phi, psi, lam) - complex(model.B)
     return 1.0 / bracket
 
 

@@ -36,8 +36,8 @@ from .ratfun import (
     companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
 )
 from .hardy import (
-    _shaped, boundary_value, cauchy_transform_num, factorize_rational,
-    piecewise_product, quad_gk,
+    ENDPOINT_TOL, PiecewiseFun, _shaped, boundary_value, cauchy_transform_num,
+    factorize_rational, piecewise_product, quad_gk,
 )
 from .friedrichs import FriedrichsModel
 
@@ -751,11 +751,17 @@ def symbol_M_curve(model, halfwidth=40.0, n=4001):
     2 pi i multiple is the boundary curve of the exceptional set in the
     1/alpha plane.  2 pi i P_plus f is the boundary value fhat(k + i0) of
     the Cauchy transform, for rational and piecewise data alike, and
-    psi phibar is their `piecewise_product`.
+    psi phibar is their `piecewise_product`.  The grid is n points over
+    [-halfwidth, halfwidth], less the points within ENDPOINT_TOL of a piece
+    endpoint of phibar or of psi phibar, where the boundary value is
+    log-infinite; `ks` holds the points kept.
     """
     phibar = _phibar_of(model.phi)
-    ks = np.linspace(-halfwidth, halfwidth, n)
     prod = piecewise_product(model.psi, phibar)
+    ends = [e for f in (phibar, prod) if isinstance(f, PiecewiseFun)
+            for p in f.pieces for e in (p.a, p.b)]
+    ks = np.linspace(-halfwidth, halfwidth, n)
+    ks = ks[np.all(np.abs(ks[:, None] - np.array(ends)) >= ENDPOINT_TOL, axis=1)]
     vals = boundary_value(phibar, ks, "+") * model.psi(ks) - boundary_value(prod, ks, "+")
     return SymbolCurve(ks, vals)
 

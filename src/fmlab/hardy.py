@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# a real point this close to a piece endpoint has a log-infinite boundary value
+ENDPOINT_TOL = 1e-12
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature could not reach tolerance within the panel budget."""
 
@@ -340,7 +344,7 @@ def _piecewise_boundary_value(f, k, sgn):
     pv = 0j
     fk = 0j
     for p in f.pieces:
-        if abs(k - p.a) < 1e-12 or abs(k - p.b) < 1e-12:
+        if abs(k - p.a) < ENDPOINT_TOL or abs(k - p.b) < ENDPOINT_TOL:
             raise ValueError("boundary value at a piece endpoint")
         if not p.a < k < p.b:
             pv += _piece_transform(p, k)

@@ -195,48 +195,129 @@ def _xi_eval(data, t):
 
 
 _PAIR_BLOCK = 1 << 16     # candidate segment pairs tested per numpy pass
+_STENCIL = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
-def _segment_intersections(ts, pts):
-    """Transversal self-crossings of the polyline, by bucketed segment tests."""
+def _segment_intersections(pts):
+    """Transversal self-crossings of the polyline pts, in curve order.
+
+    Segments are sorted into levels by length: level c holds those with
+    Lmax/2^(c+1) < L <= Lmax/2^c (the last level also holds the shorter
+    ones, so that no cell is below 2^-30 of the curve's extent).  On level c
+    the midpoints of the segments of level c and above, none longer than
+    Lmax/2^c, are keyed on square cells of side 1.001 Lmax/2^c.  Two
+    crossing segments have their midpoints within half a segment each of
+    the crossing, so on the level of the longer one they lie in the same or
+    adjacent cells.  Each segment therefore meets the segments of its level
+    and above in the 3x3 cells around its own, a pair of one level once
+    (j > i); a long segment, such as a jump of the parametrization, costs
+    only its own neighbourhood.  The candidate pairs with |i - j| > 1 are
+    tested _PAIR_BLOCK at a time.  The hits come out sorted by segment pair
+    (i, j), i < j, which is curve order; a hit within 1e-6 relative of an
+    earlier one is dropped.
+    """
     a = pts[:-1]
     r = pts[1:] - a
     n = len(a)
+    if n < 3:
+        return ()
     mids = a + r / 2
-    span = max(np.ptp(mids.real), np.ptp(mids.imag), 1e-12)
-    cell = span / 48
-    keys = {}
-    for i in range(n):
-        keys.setdefault((int(mids[i].real / cell), int(mids[i].imag / cell)),
-                        []).append(i)
-    found = []
-    for (kx, ky), idx in keys.items():
-        near = list(idx)
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            near += keys.get((kx + dx, ky + dy), [])
-        near = np.array(near)
-        # the candidate pairs of a block of the bucket's segments at a time,
-        # at most _PAIR_BLOCK of them; only the crossings are kept
-        rows = max(1, _PAIR_BLOCK // near.size)
-        for s in range(0, len(idx), rows):
-            gi, gj = np.meshgrid(np.array(idx[s:s + rows]), near, indexing="ij")
-            mask = gj > gi + 1
-            i, j = gi[mask], gj[mask]
-            # vectorized segment-crossing test
-            ri, rj = r[i], r[j]
-            den = (ri * np.conj(rj)).imag
-            ok = np.abs(den) > 1e-15
-            i, j, ri, rj, den = i[ok], j[ok], ri[ok], rj[ok], den[ok]
-            q = a[j] - a[i]
-            t = (q * np.conj(rj)).imag / den
-            u = (q * np.conj(ri)).imag / den
-            hit = (t > 1e-9) & (t < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
-            found.extend((a[i][hit] + t[hit] * ri[hit]).tolist())
+    lens = np.abs(r)
+    top = lens.max() or 1.0
+    span = max(np.ptp(mids.real), np.ptp(mids.imag), top)
+    with np.errstate(divide="ignore"):
+        level = np.minimum(np.floor(np.log2(top / lens)),
+                           np.floor(np.log2(top / span)) + 30).astype(np.int64)
+    # rows: (segment, first target, target count) over the 3x3 cells
+    segs, los, cnts, targets = [], [], [], []
+    for c in np.unique(level):
+        # the 0.001 margin keeps the rounding of the keys from parting a
+        # pair by two cells; with cells over 2^-30 of the span, keys fit
+        cell = 1.001 * top / 2.0 ** c
+        tg = np.flatnonzero(level >= c)
+        kx = ((mids.real[tg] - mids.real[tg].min()) / cell).astype(np.int64)
+        ky = ((mids.imag[tg] - mids.imag[tg].min()) / cell).astype(np.int64) + 1
+        stride = ky.max() + 2               # ky - 1 and ky + 1 stay in one column
+        key = kx * stride + ky
+        order = np.argsort(key)
+        own = level[tg] == c
+        want = key[own, None] + _STENCIL[:, 0] * stride + _STENCIL[:, 1]
+        lo = np.searchsorted(key[order], want, "left")
+        segs.append(np.repeat(tg[own], len(_STENCIL)))
+        los.append(lo.ravel() + sum(map(len, targets)))
+        cnts.append((np.searchsorted(key[order], want, "right") - lo).ravel())
+        targets.append(tg[order])
+    seg, lo, cnt, targets = map(np.concatenate, (segs, los, cnts, targets))
+    cum = np.cumsum(cnt)
+    codes, xs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for s in range(0, int(cum[-1]), _PAIR_BLOCK):
+        k = np.arange(s, min(s + _PAIR_BLOCK, int(cum[-1])))
+        row = np.searchsorted(cum, k, "right")
+        i = seg[row]
+        j = targets[lo[row] + k - (cum[row] - cnt[row])]
+        keep = (level[j] > level[i]) | (j > i)
+        i, j = np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+        keep = j > i + 1
+        i, j = i[keep], j[keep]
+        # vectorized segment-crossing test, conj(.) the left factor: numpy's
+        # complex product can round differently with its factors swapped,
+        # and swaps them itself on large temporaries; in this order a pair
+        # gives the same bits in a block of any size
+        ri, rj = r[i], r[j]
+        den = (np.conj(rj) * ri).imag
+        ok = np.abs(den) > 1e-15
+        i, j, ri, rj, den = i[ok], j[ok], ri[ok], rj[ok], den[ok]
+        q = a[j] - a[i]
+        t = (np.conj(rj) * q).imag / den
+        u = (np.conj(ri) * q).imag / den
+        hit = (t > 1e-9) & (t < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
+        codes.append(i[hit] * n + j[hit])
+        xs.append(a[i][hit] + t[hit] * ri[hit])
     merged = []
-    for p in found:
+    for p in np.concatenate(xs)[np.argsort(np.concatenate(codes))].tolist():
         if all(abs(p - q0) > 1e-6 * (1 + abs(p)) for q0 in merged):
             merged.append(complex(p))
     return tuple(merged)
+
+
+def _certify_real_roots(model, ts, pts):
+    """Check that at alpha = 1/w, for each curve point w = pts[k] != 0, the
+    continued determinant has a root within REAL_BAND of the real axis.
+
+    The numerator p = P + 2 pi i alpha Q is monic of degree n, and
+    p'/p = sum_j 1/(t - r_j) over its roots, so some root has
+    |t - r_j| <= n |p(t)|/|p'(t)|, and for real t = ts[k] its imaginary part
+    is at most that.  p and p' come from one Horner pass over all points,
+    with the rounding floors gamma sum |c_j| |t|^j and
+    gamma sum j |c_j| |t|^(j-1), gamma = 4 (n + 1) eps; a point is certified
+    when n (|p| + floor) < REAL_BAND (|p'| - floor').  Only the points this
+    bound does not certify go to the eigenvalues of the pencil
+    (`pencil_roots`); a point with no root within REAL_BAND there raises
+    RuntimeError.
+    """
+    at = np.abs(pts) >= 1e-9        # the origin is alpha = infinity
+    ts, pts = ts[at], pts[at]
+    pencil = alpha_pencil(model)
+    _, P, Q = pencil
+    c = P[:-1] + 2j * PI * (1.0 / pts)[:, None] * Q
+    n = c.shape[1]
+    p, dp = np.ones(len(ts), dtype=complex), np.zeros(len(ts), dtype=complex)
+    ap, adp = np.ones(len(ts)), np.zeros(len(ts))
+    abs_t = np.abs(ts)
+    for cj in c.T[::-1]:
+        dp = dp * ts + p
+        p = p * ts + cj
+        adp = adp * abs_t + ap
+        ap = ap * abs_t + np.abs(cj)
+    gamma = 4 * (n + 1) * np.finfo(float).eps
+    bound_ok = n * (np.abs(p) + gamma * ap) < REAL_BAND * (np.abs(dp) - gamma * adp)
+    rest = np.flatnonzero(~bound_ok)
+    if rest.size:
+        roots = pencil_roots(pencil, 1.0 / pts[rest])
+        failed = rest[np.min(np.abs(roots.imag), axis=1, initial=np.inf) > REAL_BAND]
+        if failed.size:
+            raise RuntimeError(f"curve point at t={ts[failed[0]]} failed "
+                               f"real-root certification")
 
 
 def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
@@ -246,8 +327,9 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
 
     The curve is 2 pi i xi(t) for t real, xi(t) = sum a_k/(z_k - t); the grid
     is refined where consecutive points jump, and each kept sample can be
-    re-certified by checking that the determinant numerator at the matching
-    alpha has a near-real root.
+    certified (`_certify_real_roots`): a Newton inclusion bound at its t, or
+    failing that the eigenvalues, must put a root of the determinant
+    numerator at the matching alpha within REAL_BAND of the axis.
     """
     data = continuation_terms(model)
     ts = np.linspace(-halfwidth, halfwidth, n)
@@ -273,15 +355,9 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
     branches.append((start, len(ts)))
 
     if certify:
-        at = np.abs(pts) >= 1e-9        # the origin is alpha = infinity
-        roots = pencil_roots(alpha_pencil(model), 1.0 / pts[at])
-        failed = np.flatnonzero(
-            np.min(np.abs(roots.imag), axis=1, initial=np.inf) > REAL_BAND)
-        if failed.size:
-            raise RuntimeError(f"curve point at t={ts[at][failed[0]]} failed "
-                               f"real-root certification")
+        _certify_real_roots(model, ts, pts)
 
-    inter = _segment_intersections(ts, pts)
+    inter = _segment_intersections(pts)
     return CurveTrace(ts, pts, tuple(branches), inter, data)
 
 
@@ -305,12 +381,54 @@ class ComponentMap:
         return int(self.labels[j, i])
 
 
+def _label_runs(free):
+    """Labels of the 4-connected components of the True cells of the 2-D
+    bool array free, -1 elsewhere.
+
+    The free cells of each row form runs; runs in adjacent rows whose columns
+    overlap are joined by union-find, each set rooted at its first run.
+    Components are numbered by their first cell in row-major order.
+    """
+    ny, nx = free.shape
+    edge = np.diff(np.pad(free.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edge == 1)
+    stops = np.nonzero(edge == -1)[1]          # one past each run's last cell
+    # the runs of the row above that overlap a run: from the first one that
+    # stops after the run starts to the last one that starts before it stops
+    above = (rows - 1) * nx
+    lo = np.searchsorted(rows * nx + stops, above + starts, "right")
+    hi = np.searchsorted(rows * nx + starts, above + stops, "left")
+    cnt = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(len(rows)), cnt)
+    upper = np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+    parent = list(range(len(rows)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, b in zip(upper.tolist(), below.tolist()):
+        ru, rb = find(u), find(b)
+        if ru != rb:
+            parent[max(ru, rb)] = min(ru, rb)
+    _, comp = np.unique([find(x) for x in range(len(rows))], return_inverse=True)
+    labels = np.full((ny, nx), -1, dtype=int)
+    labels[free] = np.repeat(comp, stops - starts)
+    return labels
+
+
 def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
     """Label the complement of a closed curve family on a raster grid.
 
-    Curve samples are rasterized with one cell of dilation; the remaining
-    cells are labeled by flood fill, the outer (far-field) region first so it
-    always receives label 0.
+    The polyline is densified to steps of at most half a cell and rasterized
+    with one cell of dilation (label -1).  The remaining cells are labeled
+    by their 4-connected component (`_label_runs`: row runs joined by
+    union-find), numbered by each component's first cell in row-major
+    order, so the far-field component, which holds cell (0, 0) when that
+    cell is off the curve, is 0.
     """
     if bounds is None:
         cx = (points.real.min() + points.real.max()) / 2
@@ -320,15 +438,17 @@ def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
         h = max(hx, hy, 1e-6)
         bounds = (cx - h, cx + h, cy - h, cy + h)
     x0, x1, y0, y1 = bounds
-    # densify the polyline so rasterization leaves no pinholes
-    dense = [points]
+    # densify the polyline so rasterization leaves no pinholes: k + 1 points
+    # a + (b - a) m/k on each segment longer than half a cell
     step = max((x1 - x0) / nx, (y1 - y0) / ny)
-    for a, b in zip(points[:-1], points[1:]):
-        d = abs(b - a)
-        if d > step / 2:
-            k = int(d / (step / 2)) + 1
-            dense.append(a + (b - a) * np.linspace(0, 1, k + 1))
-    dense = np.concatenate(dense)
+    a, r = points[:-1], np.diff(points)
+    long_ = np.flatnonzero(np.abs(r) > step / 2)
+    k = (np.abs(r[long_]) / (step / 2)).astype(int) + 1
+    seg = np.repeat(long_, k + 1)
+    m = np.arange(len(seg)) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)
+    kk = np.repeat(k, k + 1)
+    frac = np.where(m == kk, 1.0, m * (1.0 / kk))   # as np.linspace(0, 1, k + 1)
+    dense = np.concatenate([points, a[seg] + r[seg] * frac])
     ii = np.clip(((dense.real - x0) / (x1 - x0) * (nx - 1)).round().astype(int), 0, nx - 1)
     jj = np.clip(((dense.imag - y0) / (y1 - y0) * (ny - 1)).round().astype(int), 0, ny - 1)
     curve = np.zeros((ny, nx), dtype=bool)
@@ -337,25 +457,7 @@ def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
     curve[np.clip(jj - 1, 0, ny - 1), ii] = True
     curve[jj, np.clip(ii + 1, 0, nx - 1)] = True
     curve[jj, np.clip(ii - 1, 0, nx - 1)] = True
-
-    labels = np.full((ny, nx), -2, dtype=int)
-    labels[curve] = -1
-    next_label = 0
-    seeds = [(0, 0)] + [(j, i) for j in range(ny) for i in range(nx)]
-    for j0, i0 in seeds:
-        if labels[j0, i0] != -2:
-            continue
-        stack = [(j0, i0)]
-        labels[j0, i0] = next_label
-        while stack:
-            j, i = stack.pop()
-            for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                jn, in_ = j + dj, i + di
-                if 0 <= jn < ny and 0 <= in_ < nx and labels[jn, in_] == -2:
-                    labels[jn, in_] = next_label
-                    stack.append((jn, in_))
-        next_label += 1
-    return ComponentMap(bounds, nx, ny, labels)
+    return ComponentMap(bounds, nx, ny, _label_runs(~curve))
 
 
 FIG_LAMS = (0.0, 1.0, -2.0)

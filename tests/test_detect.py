@@ -780,3 +780,19 @@ def test_symbol_curve_disjoint_supports():
     outside = (sc.ks < IV2[0] - 0.05) | (sc.ks > IV2[1] + 0.05)
     assert np.all(np.abs(sc.values[outside]) < 1e-8)
     assert np.max(np.abs(sc.values[inside])) > 0.1
+
+
+def test_symbol_curve_skips_piece_endpoints():
+    # n = 201 puts grid points on phi's endpoints 0 and 1, where the boundary
+    # value of phibar is log-infinite: the curve keeps the other 199 samples
+    sc = symbol_M_curve(MOD_PW, halfwidth=5, n=201)
+    grid = np.linspace(-5, 5, 201)
+    assert np.array_equal(sc.ks, grid[(grid != 0.0) & (grid != 1.0)])
+    prod = piecewise_product(PSI_PW, PHI_PW)
+    want = (boundary_value(PHI_PW, sc.ks, "+") * PSI_PW(sc.ks)
+            - boundary_value(prod, sc.ks, "+"))
+    assert np.array_equal(sc.values, want)
+    on, _, dist = sc.membership(target=sc.values[120])
+    assert on and dist == 0.0
+    on, winding, _ = sc.membership(target=100 + 100j)
+    assert not on and winding == 0

@@ -11,8 +11,10 @@ from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
 from fmlab.detect import (alpha_pencil, continuation_terms, d_plus,
                           defect_hardy_plus, pencil_roots)
+from fmlab import scancli
 from fmlab.scancli import (
-    ComponentMap, CurveTrace, ScanGrid, _xi_eval,
+    ComponentMap, CurveTrace, ScanGrid, _certify_real_roots, _label_runs,
+    _segment_intersections, _xi_eval,
     component_map, figure2_pipeline, main, model_from_json, model_to_json,
     petal_figure_model, piecewise_from_json, piecewise_to_json,
     rat_from_json, rat_to_json, run_verify_suite, scan_defect_grid,
@@ -367,6 +369,93 @@ def test_trace_points_certify_as_real_roots():
     assert np.all(np.min(np.abs(roots.imag), axis=1) < REAL_BAND)
 
 
+def test_certificate_takes_no_eigenvalues_on_the_petal_curve(monkeypatch, figure_run):
+    # every figure2 point is certified by the Newton bound alone
+    def refuse(*args):
+        raise AssertionError("fell back to the pencil eigenvalues")
+
+    _, trace, _ = figure_run
+    monkeypatch.setattr(scancli, "pencil_roots", refuse)
+    _certify_real_roots(petal_figure_model()[0], trace.ts, trace.points)
+
+
+def test_certificate_falls_back_to_eigenvalues(monkeypatch):
+    # at t shifted by 0.01 the bound is about 0.01 and certifies nothing,
+    # but the roots at alpha = 1/w are still real: the fallback accepts all
+    model, _ = petal_figure_model()
+    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    seen = []
+
+    def spy(pencil, alphas):
+        seen.append(len(alphas))
+        return pencil_roots(pencil, alphas)
+
+    monkeypatch.setattr(scancli, "pencil_roots", spy)
+    _certify_real_roots(model, trace.ts + 0.01, trace.points)
+    assert seen == [int(np.sum(np.abs(trace.points) >= 1e-9))]
+
+
+def test_certificate_refuses_points_off_the_curve():
+    model, _ = petal_figure_model()
+    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    with pytest.raises(RuntimeError, match="real-root certification"):
+        _certify_real_roots(model, trace.ts, trace.points + 0.05j)
+
+
+def all_pairs_crossings(pts):
+    """Self-crossings of the polyline by the segment test over every pair of
+    segments (i, j), j > i + 1, whose bounding boxes meet, in that order:
+    the reference of the grid join in `_segment_intersections`."""
+    a = pts[:-1]
+    r = pts[1:] - a
+    n = len(a)
+    x0, x1 = np.minimum(a.real, pts[1:].real), np.maximum(a.real, pts[1:].real)
+    y0, y1 = np.minimum(a.imag, pts[1:].imag), np.maximum(a.imag, pts[1:].imag)
+    rows = max(1, (1 << 18) // n)
+    found = []
+    for i0 in range(0, n, rows):
+        i = np.arange(i0, min(i0 + rows, n))[:, None]
+        j = np.arange(n)
+        i, j = np.nonzero((j > i + 1) & (x0[j] <= x1[i]) & (x0[i] <= x1[j])
+                          & (y0[j] <= y1[i]) & (y0[i] <= y1[j]))
+        i = i + i0
+        ri, rj = r[i], r[j]
+        den = (np.conj(rj) * ri).imag
+        ok = np.abs(den) > 1e-15
+        i, j, ri, rj, den = i[ok], j[ok], ri[ok], rj[ok], den[ok]
+        q = a[j] - a[i]
+        t = (np.conj(rj) * q).imag / den
+        u = (np.conj(ri) * q).imag / den
+        hit = (t > 1e-9) & (t < 1 - 1e-9) & (u > 1e-9) & (u < 1 - 1e-9)
+        found.extend((a[i][hit] + t[hit] * ri[hit]).tolist())
+    merged = []
+    for p in found:
+        if all(abs(p - q0) > 1e-6 * (1 + abs(p)) for q0 in merged):
+            merged.append(complex(p))
+    return tuple(merged)
+
+
+@pytest.mark.parametrize("y", [0.5013, 0.2987])
+def test_segment_intersections_find_every_crossing(y):
+    # a vertical strand x = c, a jump to 0 and a horizontal strand y: the
+    # strands cross at c + iy, and the diagonal back to 0 crosses the
+    # horizontal one at c y + iy; a finder keyed on a grid finer than the
+    # strands' segments, or pairing neighbour cells one way only, misses some
+    s = np.linspace(0, 1, 201)
+    for c in np.linspace(0.0025, 0.9975, 400):
+        pts = np.concatenate([c + 1j * s, [0.0], s + 1j * y])
+        got = _segment_intersections(pts)
+        assert got == all_pairs_crossings(pts), c
+        assert any(abs(p - complex(c, y)) < 1e-12 for p in got), c
+
+
+def test_segment_intersections_on_the_petal_curve():
+    model, _ = petal_figure_model()
+    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    assert trace.self_intersections == all_pairs_crossings(trace.points)
+    assert len(trace.self_intersections) == 3
+
+
 def test_trace_one_pole_is_one_clean_loop():
     trace = trace_real_root_curve(one_pole_model(), halfwidth=60, n=1201)
     assert len(trace.branches) == 1
@@ -397,9 +486,54 @@ def test_trace_rejects_repeated_psi_pole():
 # component labeling
 # ---------------------------------------------------------------------------
 
+def reference_raster(points, bounds, nx, ny):
+    """The curve band of `component_map`, densified one segment at a time."""
+    x0, x1, y0, y1 = bounds
+    dense = [points]
+    step = max((x1 - x0) / nx, (y1 - y0) / ny)
+    for a, b in zip(points[:-1], points[1:]):
+        d = abs(b - a)
+        if d > step / 2:
+            k = int(d / (step / 2)) + 1
+            dense.append(a + (b - a) * np.linspace(0, 1, k + 1))
+    dense = np.concatenate(dense)
+    ii = np.clip(((dense.real - x0) / (x1 - x0) * (nx - 1)).round().astype(int), 0, nx - 1)
+    jj = np.clip(((dense.imag - y0) / (y1 - y0) * (ny - 1)).round().astype(int), 0, ny - 1)
+    curve = np.zeros((ny, nx), dtype=bool)
+    for dj, di in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
+        curve[np.clip(jj + dj, 0, ny - 1), np.clip(ii + di, 0, nx - 1)] = True
+    return curve
+
+
+def reference_labels(curve):
+    """Stack flood fill of the cells off the curve: cell (0, 0) first, then
+    the unlabeled cells in row-major order seed the next component."""
+    ny, nx = curve.shape
+    labels = np.full((ny, nx), -2, dtype=int)
+    labels[curve] = -1
+    next_label = 0
+    seeds = [(0, 0)] + [(j, i) for j in range(ny) for i in range(nx)]
+    for j0, i0 in seeds:
+        if labels[j0, i0] != -2:
+            continue
+        stack = [(j0, i0)]
+        labels[j0, i0] = next_label
+        while stack:
+            j, i = stack.pop()
+            for dj, di in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                jn, in_ = j + dj, i + di
+                if 0 <= jn < ny and 0 <= in_ < nx and labels[jn, in_] == -2:
+                    labels[jn, in_] = next_label
+                    stack.append((jn, in_))
+        next_label += 1
+    return labels
+
+
+CIRCLE = np.exp(1j * np.linspace(0, 2 * PI, 600))
+
+
 def test_component_map_circle():
-    th = np.linspace(0, 2 * PI, 600)
-    cmap = component_map(np.exp(1j * th), bounds=(-2, 2, -2, 2), nx=101, ny=101)
+    cmap = component_map(CIRCLE, bounds=(-2, 2, -2, 2), nx=101, ny=101)
     assert cmap.label_at(0j) != 0
     assert cmap.label_at(1.8 + 0j) == 0
     assert cmap.label_at(10 + 10j) == 0        # off-grid: far field by convention
@@ -407,14 +541,45 @@ def test_component_map_circle():
     assert len(set(cmap.labels[cmap.labels >= 0].tolist())) == 2
 
 
-# ---------------------------------------------------------------------------
-# petal figure pipeline
-# ---------------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
 def figure_run():
     return figure2_pipeline()
 
+
+def test_component_map_is_the_flood_fill(figure_run):
+    _, trace, cmap = figure_run
+    curve = reference_raster(trace.points, cmap.bounds, cmap.nx, cmap.ny)
+    assert np.array_equal(cmap.labels, reference_labels(curve))
+    circle = component_map(CIRCLE, bounds=(-2, 2, -2, 2), nx=101, ny=101)
+    curve = reference_raster(CIRCLE, (-2, 2, -2, 2), 101, 101)
+    assert np.array_equal(circle.labels, reference_labels(curve))
+
+
+def serpentine(ny, nx):
+    # one free path sweeping every other row, joined at alternating ends
+    curve = np.ones((ny, nx), dtype=bool)
+    curve[::2] = False
+    curve[1::4, -1] = False
+    curve[3::4, 0] = False
+    return curve
+
+
+@pytest.mark.parametrize("curve", [
+    *(np.random.default_rng(seed).random((23 + seed, 41 - seed)) < 0.2 + 0.02 * seed
+      for seed in range(20)),
+    serpentine(41, 37),
+    ~serpentine(41, 37),
+    np.pad(~serpentine(40, 36), ((1, 0), (1, 0)), constant_values=True),
+], ids=[*(f"random-{seed}" for seed in range(20)), "serpentine", "serpentine-walls",
+        "corner-on-curve"])
+def test_run_labels_are_the_flood_fill(curve):
+    assert curve.any() and not curve.all()
+    assert np.array_equal(_label_runs(~curve), reference_labels(curve))
+
+
+# ---------------------------------------------------------------------------
+# petal figure pipeline
+# ---------------------------------------------------------------------------
 
 def test_figure_far_field_and_crossings(figure_run):
     report, _, _ = figure_run

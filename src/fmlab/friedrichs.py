@@ -7,14 +7,15 @@ x f(x) - c_f is square integrable.  Traces are
     Gamma_1 f = symmetric-limit integral of f,      Gamma_2 f = c_f,
 
 and A_B is the restriction to Gamma_1 f = B Gamma_2 f.  For rational phi, psi
-everything below is closed form: the perturbation determinant
+everything below is closed form.  The Weyl function
 
-    D(lam) = 1 + int psi(x) conj(phi(x)) / (x - lam) dx
+    M_B(lam) = [sign(Im lam) pi i - psihat(lam) phibarhat(lam) / D(lam) - B]^{-1}
 
-is, per half-plane, a rational function assembled from the Riesz parts of
-psi * conj_reflect(phi), and the Weyl function is
+is built from three Cauchy transforms (``ratfun.cauchy_transform``): of psi,
+of phibar = conj_reflect(phi), and of psi * phibar in the perturbation
+determinant
 
-    M_B(lam) = [sign(Im lam) pi i - psihat(lam) phibarhat(lam) / D(lam) - B]^{-1}.
+    D(lam) = 1 + int psi(x) conj(phi(x)) / (x - lam) dx.
 """
 from __future__ import annotations
 
@@ -24,10 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .ratfun import (
-    Poly, RatFun, REAL_BAND, cauchy_transform, conj_reflect, inner_product,
-    pv_integral,
+    Poly, RatFun, cauchy_transform, conj_reflect, inner_product, pv_integral,
 )
-from .hardy import riesz_split
 
 __all__ = [
     "FriedrichsModel", "DomainElement", "MValue", "EigenvalueError", "DZeroError",
@@ -84,7 +83,7 @@ def traces(f):
 
 
 class FriedrichsModel:
-    """Model data (phi, psi, B) with cached half-plane rational transforms."""
+    """Model data (phi, psi, B), with phibar and psi * phibar cached."""
 
     def __init__(self, phi, psi, B):
         if not (phi.is_L2 and psi.is_L2):
@@ -98,44 +97,9 @@ class FriedrichsModel:
         return conj_reflect(self.phi)
 
     @cached_property
-    def _h_parts(self):
-        h = self.psi * self.phibar
-        if h.is_zero:
-            z = RatFun.zero()
-            return z, z
-        return riesz_split(h)
-
-    @cached_property
-    def _psi_parts(self):
-        if self.psi.is_zero:
-            return RatFun.zero(), RatFun.zero()
-        return riesz_split(self.psi)
-
-    @cached_property
-    def _phibar_parts(self):
-        if self.phi.is_zero:
-            return RatFun.zero(), RatFun.zero()
-        return riesz_split(self.phibar)
-
-    # -- scalar transforms (per half-plane closed forms) --------------------
-    def d_value(self, lam):
-        lam = complex(lam)
-        hp, hm = self._h_parts
-        if lam.imag > 0:
-            return 1.0 + 2j * PI * complex(hp(lam))
-        return 1.0 - 2j * PI * complex(hm(lam))
-
-    def psi_hat(self, lam):
-        """<(t-lam)^{-1}, conj(psi)> = int psi(t)/(t-lam) dt."""
-        lam = complex(lam)
-        pp, pm = self._psi_parts
-        return 2j * PI * complex(pp(lam)) if lam.imag > 0 else -2j * PI * complex(pm(lam))
-
-    def phibar_hat(self, lam):
-        """<(t-lam)^{-1}, phi> = int conj(phi(t))/(t-lam) dt."""
-        lam = complex(lam)
-        fp, fm = self._phibar_parts
-        return 2j * PI * complex(fp(lam)) if lam.imag > 0 else -2j * PI * complex(fm(lam))
+    def psi_phibar(self):
+        """psi * phibar, whose Cauchy transform is D - 1."""
+        return self.psi * self.phibar
 
     def __repr__(self):
         return f"FriedrichsModel(B={self.B})"
@@ -147,26 +111,22 @@ def tilde_model(model):
 
 
 def d_function(model, lam):
-    lam = complex(lam)
-    if abs(lam.imag) < REAL_BAND:
-        raise ValueError("D(lam) needs Im lam != 0")
-    return model.d_value(lam)
+    """Perturbation determinant D(lam); lam off the real band."""
+    return 1.0 + cauchy_transform(model.psi_phibar, lam)
 
 
 def m_function(model, lam):
     """Weyl M-function value with its ingredients; flags eigenvalues as infinite."""
     lam = complex(lam)
-    if abs(lam.imag) < 1e-12:
-        raise ValueError("M-function needs |Im lam| >= 1e-12")
-    D = model.d_value(lam)
+    D = d_function(model, lam)
     if abs(D) <= _D_BAND:
         raise DZeroError(f"D({lam}) = {D:.2e}")
-    ph = model.psi_hat(lam)
-    fh = model.phibar_hat(lam)
+    ph = cauchy_transform(model.psi, lam)
+    fh = cauchy_transform(model.phibar, lam)
     bracket = np.sign(lam.imag) * PI * 1j - ph * fh / D - model.B
     if abs(bracket) <= _M_BAND * (1.0 + abs(model.B)):
         return MValue(lam, D, ph, fh, np.inf, infinite=True)
-    return MValue(lam, D, ph, fh, 1.0 / bracket, infinite=False)
+    return MValue(lam, D, ph, fh, complex(1.0 / bracket), infinite=False)
 
 
 def solution_operator(model, lam, f=1.0):

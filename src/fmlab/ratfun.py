@@ -868,25 +868,35 @@ def cauchy_transform(f, lam):
     2 pi i [sum over poles z with Im z > 0 of (-1)^(k-1) c/(z - lam)^k
     + [Im lam > 0] f(lam)], which is 2 pi i f_lower(lam) for Im lam > 0 and
     -2 pi i f_upper(lam) for Im lam < 0, f_lower and f_upper the principal
-    parts at the poles below and above the axis.  lam may be an array.
+    parts at the poles below and above the axis.  Only the poles of that
+    principal part enter, so lam is refused next to one of them and not next
+    to a pole on its own side.  lam may be an array; a scalar gives a complex.
     """
     scalar = not isinstance(lam, np.ndarray)
     lam = complex(lam) if scalar else np.asarray(lam, dtype=complex)
-    if np.any(np.abs(lam.imag) < REAL_BAND):
+    near = abs(lam.imag) < REAL_BAND
+    if near if scalar else near.any():
         raise ValueError("cauchy_transform needs Im(lam) != 0; use hardy.boundary_value")
     if f.is_zero:
         return 0j if scalar else np.zeros(lam.shape, dtype=complex)
     if not f.is_L2:
         raise ValueError("cauchy_transform requires an L2 rational function")
-    for z, _ in f._parts()[0]:
-        if np.any(abs(z - lam) <= _CLUSTER * (1.0 + abs(lam))):
+    up = lam.imag > 0
+    if scalar:     # plain Python: this path runs per lam in the model layer
+        part = f.principal_part("lower" if up else "upper")
+        r = _CLUSTER * (1.0 + abs(lam))
+        if any(abs(z - lam) <= r for z, _ in part._parts()[0]):
             raise ValueError("lam coincides with a pole of f")
-    if scalar:
-        if lam.imag > 0:
-            return 2j * np.pi * f.principal_part("lower")(lam)
-        return -2j * np.pi * f.principal_part("upper")(lam)
-    return np.where(lam.imag > 0, 2j * np.pi * f.principal_part("lower")(lam),
-                    -2j * np.pi * f.principal_part("upper")(lam))
+        return complex((2j * np.pi if up else -2j * np.pi) * part(lam))
+    out = np.empty(lam.shape, dtype=complex)
+    for side, part_name, scale in ((up, "lower", 2j * np.pi), (~up, "upper", -2j * np.pi)):
+        at = lam[side]
+        part = f.principal_part(part_name)
+        r = _CLUSTER * (1.0 + np.abs(at))
+        if any(np.any(np.abs(z - at) <= r) for z, _ in part._parts()[0]):
+            raise ValueError("lam coincides with a pole of f")
+        out[side] = scale * part(at)
+    return out
 
 
 def inner_product(f, g):

@@ -740,17 +740,16 @@ def main(argv=None):
         ok = True
         for y in np.linspace(y0, y1, ny):
             for x in np.linspace(x0, x1, nx):
-                lam = complex(x, y)
-                if abs(lam.imag) < 1e-12:
+                try:
+                    mv = m_function(model, complex(x, y))
+                except ValueError:     # the real band, D = 0, a pole at lam
                     rows.append((x, y, "", "", UNRESOLVED))
                     ok = False
                     continue
-                mv = m_function(model, lam)
                 if mv.infinite:
                     rows.append((x, y, "", "", "EIGENVALUE"))
                 else:
-                    m = complex(mv.M)
-                    rows.append((x, y, repr(m.real), repr(m.imag), OK))
+                    rows.append((x, y, repr(mv.M.real), repr(mv.M.imag), OK))
         out = args.out or "mfun.csv"
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re,im,m_re,m_im,flag\n")

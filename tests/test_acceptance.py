@@ -306,7 +306,8 @@ def test_range_recovery_20_random_models():
             psi_r, phi_r = recover_from_ranges(u, v, lam, mu)
         except (ValueError, RuntimeError):
             continue
-        sigma = mod.phibar_hat(lam) / mod.d_value(lam)
+        mv = m_function(mod, lam)
+        sigma = mv.phibar_hat / mv.D
         if abs(sigma) < 1e-6:
             continue
         e1 = np.max(np.abs(psi_r(XS) / sigma - mod.psi(XS))) \

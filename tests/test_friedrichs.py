@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fmlab.ratfun import Poly, RatFun, poly_from_roots, conj_reflect, inner_product
+from fmlab.hardy import riesz_split
 from fmlab.friedrichs import (
     DZeroError, EigenvalueError, FriedrichsModel, apply_adjoint, apply_resolvent,
     d_function, m_function, solution_operator, tilde_model, traces, verify_identity,
 )
+from fmlab.scancli import _draw_l2
 
 PI = np.pi
 
@@ -90,9 +92,10 @@ def test_transform_quadrature_oracle():
     mod = fixed_model()
     lam = 0.5 + 0.8j
     # oracle: adaptive quadrature of int psi/(t-lam) and int conj(phi)/(t-lam)
-    assert mod.psi_hat(lam) == pytest.approx(
+    mv = m_function(mod, lam)
+    assert mv.psi_hat == pytest.approx(
         0.6765785249234811 + 1.6542931563157952j, abs=1e-12)
-    assert mod.phibar_hat(lam) == pytest.approx(
+    assert mv.phibar_hat == pytest.approx(
         2.1746500445120884 + 0.38833036509144425j, abs=1e-12)
 
 
@@ -100,7 +103,7 @@ def test_phibar_hat_vanishes_in_polefree_halfplane():
     # phi has its only pole at 2i, so conj(phi) is analytic above the axis is
     # false -- it has the pole at -2i; the transform closes to zero below.
     mod = fixed_model()
-    assert mod.phibar_hat(-1.2 - 0.6j) == pytest.approx(0.0, abs=1e-14)
+    assert m_function(mod, -1.2 - 0.6j).phibar_hat == pytest.approx(0.0, abs=1e-14)
 
 
 def test_d_trivial_when_psi_zero():
@@ -112,6 +115,50 @@ def test_d_trivial_when_psi_zero():
 def test_d_rejects_real_lam():
     with pytest.raises(ValueError):
         d_function(fixed_model(), 0.5)
+
+
+def riesz_reference(model, lam):
+    """(D, psi_hat, phibar_hat, M) from the Riesz split of each transformed
+    function: the part with poles across the axis from lam, times 2 pi i for
+    Im lam > 0 and -2 pi i below, with D = 1 + that transform of psi phibar."""
+    up = lam.imag > 0
+
+    def hat(f):
+        if f.is_zero:
+            return 0j
+        plus, minus = riesz_split(f)
+        return 2j * PI * complex(plus(lam)) if up else -2j * PI * complex(minus(lam))
+
+    phibar = conj_reflect(model.phi)
+    D = 1.0 + hat(model.psi * phibar)
+    ph, fh = hat(model.psi), hat(phibar)
+    bracket = np.sign(lam.imag) * PI * 1j - ph * fh / D - model.B
+    return D, ph, fh, complex(1.0 / bracket)
+
+
+def test_m_function_equals_the_riesz_split_reference():
+    rng = np.random.default_rng(3)
+    points = 0
+    for _ in range(300):
+        mod = FriedrichsModel(_draw_l2(rng, int(rng.integers(1, 7)), min_sep=0.3),
+                              _draw_l2(rng, int(rng.integers(1, 7)), min_sep=0.3),
+                              complex(rng.normal(), rng.normal()))
+        lams = [rand_lam(rng, min_im=1e-6) for _ in range(4)]
+        lams += [p.location for p in mod.psi.poles]
+        lams += [p.location.conjugate() for p in mod.phi.poles]
+        for lam in lams:
+            ref = riesz_reference(mod, lam)
+            try:
+                mv = m_function(mod, lam)
+            except DZeroError:
+                assert abs(ref[0]) <= 1e-12
+                continue
+            assert not mv.infinite
+            got = (mv.D, mv.psi_hat, mv.phibar_hat, mv.M)
+            assert got == ref, (lam, got, ref)
+            assert all(type(v) is complex for v in got)
+            points += 1
+    assert points > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 __all__; every module-level private name is used somewhere in src/fmlab;
 every method and property of a class in src/fmlab is referenced from src,
 tests or perfbench; adaptive quadrature is imported only where piecewise
-data is integrated."""
+data is integrated, and half-plane splits of rational functions are taken
+only in ratfun and hardy."""
 import ast
 import pathlib
 
@@ -97,6 +98,27 @@ def test_quadrature_lives_in_hardy_and_detect():
     assert set(quad_gk_importers(sources)) <= {"hardy", "detect"}
     assert quad_gk_importers({"a": "from .hardy import quad_gk as q\n",
                               "b": "from .hardy import riesz_split\n"}) == ["a"]
+
+
+def riesz_users(sources):
+    """Modules among sources (module name -> text) that import riesz_split or
+    call a .principal_part( method."""
+    return sorted(mod for mod, text in sources.items()
+                  if any((isinstance(node, ast.ImportFrom)
+                          and any(a.name == "riesz_split" for a in node.names))
+                         or (isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Attribute)
+                             and node.func.attr == "principal_part")
+                         for node in ast.walk(ast.parse(text))))
+
+
+def test_half_plane_splits_live_in_ratfun_and_hardy():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert set(riesz_users(sources)) <= {"ratfun", "hardy"}
+    assert riesz_users({"a": "from .hardy import riesz_split as r\n",
+                        "b": "g = f.principal_part('lower')(lam)\n",
+                        "c": "from .hardy import boundary_value\nf.principal_part\n"}) \
+        == ["a", "b"]
 
 
 def test_private_name_scan_sees_uses_across_modules():

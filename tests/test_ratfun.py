@@ -194,6 +194,24 @@ def test_cauchy_zero():
     assert cauchy_transform(RatFun.zero(), 1j) == 0
 
 
+def test_cauchy_refuses_only_poles_across_the_axis():
+    # a pole on lam's own side is no term of the closed form
+    assert cauchy_transform(RatFun.simple_pole(1j), 1j) == 0
+    # oracle: 2 pi i / (lam + 2i) at lam = i, and -2 pi i / (lam - i) at
+    # lam = -2i; both are 2 pi / 3
+    f = RatFun.simple_pole(1j) + RatFun.simple_pole(-2j)
+    assert cauchy_transform(f, 1j) == pytest.approx(2 * PI / 3, rel=1e-15)
+    got = cauchy_transform(f, np.array([1j, -2j]))
+    assert got.tolist() == [cauchy_transform(f, 1j), cauchy_transform(f, -2j)]
+    assert got == pytest.approx([2 * PI / 3] * 2, rel=1e-15)
+    # a pole across the axis next to lam is still refused
+    near = RatFun.simple_pole(-1.5e-9j)
+    with pytest.raises(ValueError):
+        cauchy_transform(near, 1.5e-9j)
+    with pytest.raises(ValueError):
+        cauchy_transform(near, np.array([1j, 1.5e-9j]))
+
+
 def test_inner_product_disjoint_halfplanes():
     assert inner_product(RatFun.simple_pole(-2j), RatFun.simple_pole(3j)) == pytest.approx(0.0)
 

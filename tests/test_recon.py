@@ -30,6 +30,11 @@ def generic_model(B=0.3 - 0.2j):
     return FriedrichsModel(phi, psi, B)
 
 
+def phibar_over_d(mod, lam):
+    mv = m_function(mod, lam)
+    return mv.phibar_hat / mv.D
+
+
 # ---------------------------------------------------------------------------
 # recovery from two solution-operator ranges
 # ---------------------------------------------------------------------------
@@ -41,7 +46,7 @@ def test_ranges_round_trip():
     v = solution_operator(tilde_model(mod), mu)
     psi_r, phi_r = recover_from_ranges(u, v, lam, mu)
     # recovered pair sits in the gauge psi -> sigma psi, phi -> phi/conj(sigma)
-    sigma = mod.phibar_hat(lam) / mod.d_value(lam)
+    sigma = phibar_over_d(mod, lam)
     assert np.max(np.abs(psi_r(XS) / sigma - mod.psi(XS))) < 1e-9
     assert np.max(np.abs(phi_r(XS) * np.conj(sigma) - mod.phi(XS))) < 1e-9
 
@@ -100,7 +105,7 @@ def test_restricted_resolvent_full_recovery():
     for lam, m in zip(res.lams, res.m_values):
         assert abs(m - m_function(mod, lam).M) < 1e-10
     for lam, a in zip(res.lams, res.phibar_over_D):
-        assert abs(a * gamma - mod.phibar_hat(lam) / mod.d_value(lam)) < 1e-10
+        assert abs(a * gamma - phibar_over_d(mod, lam)) < 1e-10
 
 
 def test_restricted_resolvent_trivial_psi():
@@ -170,7 +175,7 @@ def test_restricted_resolvent_random_draws():
             "psi": _coefficient_gap(res.psi, psi_t)
                    / max(abs(k) for _, _, k in partial_fractions(res.psi)[0]),
             "B": abs(res.B - mod.B),
-            "phibar_over_D": max(abs(a - c * mod.phibar_hat(lam) / mod.d_value(lam))
+            "phibar_over_D": max(abs(a - c * phibar_over_d(mod, lam))
                                  for lam, a in zip(res.lams, res.phibar_over_D)),
         }
         assert true["B"] < 1e-10, i

@@ -704,6 +704,25 @@ def test_cli_mfun_flags_real_axis(model_file, tmp_path):
     assert "UNRESOLVED" in out.read_text()
 
 
+def test_cli_mfun_flags_refused_cells(tmp_path):
+    # psi phibar = (2i/pi)/((x + i)(x - i)) has residue -1/pi at -i, so
+    # D(i) = 1 + 2 pi i (-1/pi)/(i + i) = 0 and m_function raises DZeroError
+    model = FriedrichsModel(RatFun.simple_pole(-1j),
+                            RatFun.simple_pole(-1j) * (2j / np.pi), 0.0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    out = tmp_path / "m.csv"
+    rc = main(["mfun", "--model", str(path), "--grid=-1,1,0,2,3,3",
+               "--out", str(out)])
+    assert rc == 1
+    rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    flags = {(float(r[0]), float(r[1])): r[4] for r in rows}
+    assert len(flags) == 9
+    assert flags[(0.0, 1.0)] == "UNRESOLVED"
+    assert [flags[(x, 0.0)] for x in (-1.0, 0.0, 1.0)] == ["UNRESOLVED"] * 3
+    assert sum(f == "OK" for f in flags.values()) == 5
+
+
 def test_cli_resolvent(model_file, tmp_path):
     gpath = tmp_path / "g.json"
     g = RatFun.simple_pole(2j)

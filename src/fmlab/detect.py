@@ -503,10 +503,8 @@ def toeplitz_defect(model, alpha):
                         notes=(f"mu_alpha={mu_a:.6g}",))
 
 
-def toeplitz_sperp_basis(model, alpha, report=None):
+def toeplitz_sperp_basis(model, alpha):
     """S-perp representatives phi/(x - conj(w))^m over the inner-factor zeros."""
-    if report is None:
-        report = toeplitz_defect(model, alpha)
     mu_a = 1.0 / (2j * PI * complex(alpha))
     a = model.psi * conj_reflect(model.phi)
     fac = factorize_rational(a - mu_a)
@@ -596,10 +594,11 @@ def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
     """Detectability for piecewise data with disjoint supports.
 
     Samples v(k) = 1 - psi(k) phibarhat(k - i0) over the support of psi.
-    Both one-sided boundary values are evaluated; they must agree there
-    (the Plemelj jump is carried by phi, supported elsewhere).  v == 0 on an
-    interval (confirmed at two grid refinements) means infinite defect; v
-    bounded away from zero means the detectable subspace is everything.
+    Both one-sided boundary values, the one principal value +- i pi
+    phibar(k), are evaluated; they must agree there (the Plemelj jump is
+    carried by phi, supported elsewhere).  v == 0 on an interval (confirmed
+    at two grid refinements) means infinite defect; v bounded away from
+    zero means the detectable subspace is everything.
     """
     sup_phi, sup_psi = phi.support, psi.support
     for a1, b1 in sup_psi:
@@ -611,8 +610,9 @@ def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
     def scan(npts):
         ks = np.concatenate([np.linspace(a + (b - a) * 1e-3, b - (b - a) * 1e-3, npts)
                              for a, b in sup_psi])
-        vm = 1.0 - psi(ks) * boundary_value(phibar, ks, "-")
-        vp = 1.0 - psi(ks) * boundary_value(phibar, ks, "+")
+        pv, jump = cauchy_transform_num(phibar, ks), 1j * PI * phibar(ks)
+        vm = 1.0 - psi(ks) * (pv - jump)
+        vp = 1.0 - psi(ks) * (pv + jump)
         return ks, vm, float(np.max(np.abs(vp - vm)))
 
     def zero_spans(ks, vs):
@@ -645,27 +645,29 @@ def mb_jump(model, k, tol=1e-8):
     """Jump of M_B^{-1} (and of M_B) across the axis at k.
 
     M^{-1}(k +- i0) = +-pi i - psihat phibarhat / D - B with one-sided
-    Plemelj boundary values; rank 1 exactly when M itself jumps.  The
-    difference [M] = 1/M^{-1}(k + i0) - 1/M^{-1}(k - i0) errs by about
-    eps (pi + |psihat phibarhat / D| + |B|) / |M^{-1}(k + i0) M^{-1}(k - i0)|.
-    Where that bound exceeds tol, M has a pole on the axis at k to working
-    precision: jump_M is inf and the rank 1.
+    Plemelj boundary values, each the principal value +- i pi f(k); the
+    three principal values (of psi, phibar and psi phibar) are computed
+    once and serve both sides.  The jump is rank 1 exactly when M itself
+    jumps.  The difference [M] = 1/M^{-1}(k + i0) - 1/M^{-1}(k - i0) errs
+    by about eps (pi + |psihat phibarhat / D| + |B|) / |M^{-1}(k + i0)
+    M^{-1}(k - i0)|.  Where that bound exceeds tol, M has a pole on the
+    axis at k to working precision: jump_M is inf and the rank 1.
     """
     k = float(k)
     phi, psi, B = model.phi, model.psi, complex(model.B)
     phibar = _phibar_of(phi)
     prod = piecewise_product(psi, phibar)
+    pvs = [(cauchy_transform_num(f, k), f(k)) for f in (psi, phibar, prod)]
 
     def minv(side):
         """M^{-1}(k +- i0) and the size of the terms summed into it."""
-        sgn = PI * 1j if side == "+" else -PI * 1j
-        ph = boundary_value(psi, k, side)
-        fh = boundary_value(phibar, k, side)
-        D = 1.0 + boundary_value(prod, k, side)
+        sgn = 1.0 if side == "+" else -1.0
+        ph, fh, dh = (pv + sgn * 1j * PI * fk for pv, fk in pvs)
+        D = 1.0 + dh
         if abs(D) < 1e-12:
             raise ZeroDivisionError(f"determinant vanishes at {k}{side}i0")
         t = ph * fh / D
-        return sgn - t - B, PI + abs(t) + abs(B)
+        return sgn * PI * 1j - t - B, PI + abs(t) + abs(B)
 
     (mp, sp), (mm, sm) = minv("+"), minv("-")
     jump_minv = mp - mm

@@ -2,18 +2,22 @@
 
 ``cauchy_transform_num`` and ``boundary_value`` take either kind of data,
 a ``RatFun`` or a ``PiecewiseFun``, at a scalar point or an array of points;
-they are the one place that chooses between the two kinds.  The rational
-paths are closed-form (partial fractions / residues) and vectorized.
-Piecewise data is summed piece by piece, point by point: indicator pieces
-are closed form, since int_a^b dt/(t - lam) = log((b - lam)/(a - lam));
-the other pieces go through adaptive Gauss-Kronrod quadrature, with the
-value at lam subtracted where the integrand is near-singular
-(principal-value points, and reciprocal-cauchy-of pieces next to lam).
-``quad_gk`` also serves as the independent oracle of the closed forms in
-the tests.  One-sided boundary values follow the Sokhotski-Plemelj
-convention
+they are the one place that chooses between the two kinds.  The principal
+value is the one primitive on the axis: ``cauchy_transform_num`` at real k
+is p.v. int f(t)/(t - k) dt, and the one-sided boundary values are, by
+Sokhotski-Plemelj,
 
     fhat(k +- i0) = p.v. int f(t)/(t-k) dt  +-  i*pi*f(k).
+
+The rational paths are closed form (partial fractions / residues) and
+vectorized; the rational principal value is i pi (f_lower - f_upper)(k).
+Piecewise data is summed piece by piece, point by point, under one rule
+(``_piece_transform``): indicator pieces are closed form, since
+int_a^b dt/(t - lam) = log((b - lam)/(a - lam)), real at a principal
+value; the other pieces go through adaptive Gauss-Kronrod quadrature, with
+the value at lam subtracted where the integrand is near-singular (real lam
+inside the piece, and reciprocal-cauchy-of pieces next to lam).  ``quad_gk``
+also serves as the independent oracle of the closed forms in the tests.
 """
 from __future__ import annotations
 
@@ -279,27 +283,41 @@ def _log_ratio(a, b, lam):
 
 
 def _piece_transform(p, lam, tol=1e-9):
-    """Integral of p(t)/(t - lam) over the piece, lam off [p.a, p.b].
+    """Integral of p(t)/(t - lam) over the piece: the ordinary integral for
+    lam off [p.a, p.b], the principal value for real lam inside (a, b).
 
-    An indicator is closed form: log((b - lam)/(a - lam)).  A
-    reciprocal-cauchy-of piece p = 1/log((ib - z)/(ia - z)) is analytic off
-    [ia, ib], so for lam off the axis and within one interval length of the
-    piece its value p(lam) is subtracted: the integrand of
-    int (p(t) - p(lam))/(t - lam) dt is bounded, and p(lam) log((b - lam)/
-    (a - lam)) restores the rest (exact for any constant).  Everything else
-    is plain quadrature.
+    An indicator is closed form: log((b - lam)/(a - lam)), or the real
+    log((b - k)/(k - a)) as the principal value at k inside.  Another piece
+    has its value v = p(lam) subtracted where the integrand is near-singular:
+    at real lam inside any piece, and at lam off the axis within one
+    interval length of a reciprocal-cauchy-of piece, which is analytic off
+    [ia, ib].  The integrand of int (p(t) - v)/(t - lam) dt is bounded, and
+    v times the indicator's value restores the rest (exact for any constant).
+    Everything else is plain quadrature.
     """
-    a, b = p.a, p.b
+    a, b, k = p.a, p.b, lam.real
+    real = lam.imag == 0
+    if real and min(abs(k - a), abs(k - b)) < ENDPOINT_TOL:
+        raise ValueError("boundary value at a piece endpoint")
+    inside = real and a < k < b
+    log = np.log((b - k) / (k - a)) if inside else _log_ratio(a, b, lam)
+    gap = max(a - k, 0.0, k - b)
     if p.kind == "indicator":
-        return _log_ratio(a, b, lam)
-    gap = max(a - lam.real, 0.0, lam.real - b)
-    if (p.kind == "reciprocal-cauchy-of" and lam.imag != 0
-            and abs(complex(gap, lam.imag)) < b - a):
+        return log
+    if inside:
+        v = complex(p.evaluate(np.array([k]))[0])
+    elif p.kind == "reciprocal-cauchy-of" and not real and abs(complex(gap, lam.imag)) < b - a:
         ia, ib = p.payload
         v = 1.0 / np.log((ib - lam) / (ia - lam))
-        return (quad_gk(lambda t: (p.evaluate(t) - v) / (t - lam), a, b, tol=tol)
-                + v * _log_ratio(a, b, lam))
-    return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b, tol=tol)
+    else:
+        return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b, tol=tol)
+
+    def subtracted(t):
+        d = t - lam
+        # a node at lam itself: the numerator is exactly 0 there
+        return (p.evaluate(t) - v) / np.where(d == 0, 1.0, d)
+
+    return quad_gk(subtracted, a, b, tol=tol) + v * log
 
 
 def _shaped(out, x):
@@ -309,65 +327,15 @@ def _shaped(out, x):
 
 
 def boundary_value(f, k, side="+"):
-    """One-sided Cauchy-transform boundary value fhat(k +- i0), k a real
-    scalar or array.
+    """One-sided Cauchy-transform boundary value fhat(k +- i0) of rational or
+    piecewise f, k a real scalar or array.
 
-    Rational inputs (bounded at infinity, no real pole) are closed form:
-    with f = f0 + f_lower + f_upper, f0 the value at infinity and f_lower,
-    f_upper the principal parts below and above the axis,
-    fhat(k + i0) = 2 pi i f_lower(k) + pi i f0 and
-    fhat(k - i0) = -2 pi i f_upper(k) - pi i f0.  Piecewise inputs sum
-    their pieces at each k.  On the piece that holds k the principal value
-    is f(k) log((b - k)/(k - a)) plus the integral of the bounded
-    (f(t) - f(k))/(t - k), which an indicator does not need.  Pieces off k
-    are ordinary integrals, closed form for indicators (see
-    ``cauchy_transform_num``).
+    By Sokhotski-Plemelj it is the principal value, `cauchy_transform_num`
+    at real k, +- i pi f(k).
     """
     ks = np.asarray(k, dtype=float).ravel()
     sgn = 1.0 if side in ("+", +1) else -1.0
-    if isinstance(f, RatFun):
-        for p in f.poles:
-            if np.any(np.abs(p.location - ks) < 1e-9 * (1 + np.abs(ks))):
-                raise ValueError("boundary value at a real pole of f")
-            if p.half_plane == "REAL":
-                raise ValueError("principal value at real pole unsupported here")
-        part = f.principal_part("lower" if sgn > 0 else "upper")
-        out = sgn * (2j * np.pi * part(ks) + 1j * np.pi * f.value_at_infinity)
-    else:
-        out = np.array([_piecewise_boundary_value(f, x, sgn) for x in ks.tolist()],
-                       dtype=complex)
-    return _shaped(out, k)
-
-
-def _piecewise_boundary_value(f, k, sgn):
-    """boundary_value of piecewise f at one real k; sgn is +-1."""
-    pv = 0j
-    fk = 0j
-    for p in f.pieces:
-        if abs(k - p.a) < ENDPOINT_TOL or abs(k - p.b) < ENDPOINT_TOL:
-            raise ValueError("boundary value at a piece endpoint")
-        if not p.a < k < p.b:
-            pv += _piece_transform(p, k)
-            continue
-        fk = complex(p.evaluate(np.array([k]))[0])
-        pv += fk * np.log((p.b - k) / (k - p.a))
-        if p.kind == "indicator":
-            continue
-
-        def sub(t, p=p, fk=fk):
-            t = np.asarray(t, dtype=float)
-            d = t - k
-            sing = np.abs(d) < 1e-12 * (1.0 + abs(k))
-            vals = (p.evaluate(t) - fk) / np.where(sing, 1.0, d)
-            if sing.any():
-                h = 1e-7 * (1.0 + abs(k))
-                slope = (p.evaluate(np.array([k + h]))[0]
-                         - p.evaluate(np.array([k - h]))[0]) / (2 * h)
-                vals = np.where(sing, slope, vals)
-            return vals
-
-        pv += quad_gk(sub, p.a, p.b)
-    return pv + sgn * 1j * np.pi * fk
+    return _shaped(cauchy_transform_num(f, ks) + sgn * 1j * np.pi * f(ks), k)
 
 
 def cauchy_transform_num(f, lam, tol=1e-9):
@@ -375,22 +343,33 @@ def cauchy_transform_num(f, lam, tol=1e-9):
     lam a scalar or an array.
 
     Each lam is off the support, or within REAL_BAND of the axis, where the
-    value is the principal value (the mean of the two boundary values).  A
-    rational f is ``ratfun.cauchy_transform``, closed form.  For piecewise f
-    indicator pieces are closed form, reciprocal-cauchy-of pieces near lam
-    subtract their value at lam, and the rest is adaptive quadrature.
+    value is the principal value at its real part k (the mean of the two
+    boundary values).  A rational f = f0 + f_lower + f_upper (f0 the value
+    at infinity, the others the principal parts below and above the axis)
+    is closed form: ``ratfun.cauchy_transform`` off the axis, and
+    i pi (f_lower - f_upper)(k) on it, where the symmetric limit gives a
+    constant no principal value; a real pole of f is refused there.
+    Piecewise f sums `_piece_transform` over its pieces: indicators in
+    closed form, the other pieces by adaptive quadrature under its one
+    subtraction rule; a k on a piece endpoint is refused.
     """
     lams = np.asarray(lam, dtype=complex).ravel()
     axis = np.abs(lams.imag) < REAL_BAND
+    if not isinstance(f, RatFun):
+        # an axis point enters as its real part: a principal value
+        out = np.array([sum((_piece_transform(p, z.real if on else z, tol) for p in f.pieces), 0j)
+                        for z, on in zip(lams.tolist(), axis.tolist())], dtype=complex)
+        return _shaped(out, lam)
     out = np.empty(lams.shape, dtype=complex)
     if axis.any():
-        k = lams.real[axis]
-        out[axis] = boundary_value(f, k, "+") - 1j * np.pi * f(k)
-    if isinstance(f, RatFun):
-        out[~axis] = cauchy_transform(f, lams[~axis])
-    else:
-        out[~axis] = [sum((_piece_transform(p, z, tol) for p in f.pieces), 0j)
-                      for z in lams[~axis].tolist()]
+        ks = lams.real[axis]
+        for p in f.poles:
+            if np.any(np.abs(p.location - ks) < 1e-9 * (1 + np.abs(ks))):
+                raise ValueError("boundary value at a real pole of f")
+            if p.half_plane == "REAL":
+                raise ValueError("principal value at real pole unsupported here")
+        out[axis] = 1j * np.pi * (f.principal_part("lower")(ks) - f.principal_part("upper")(ks))
+    out[~axis] = cauchy_transform(f, lams[~axis])
     return _shaped(out, lam)
 
 

@@ -174,9 +174,7 @@ def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
 class CurveTrace:
     ts: np.ndarray
     points: np.ndarray              # 2 pi i xi(t): the 1/alpha-plane curve
-    branches: tuple                 # (start, stop) index ranges
     self_intersections: tuple       # complex points where the curve crosses itself
-    pole_data: tuple                # (z_k, a_k) of the parametrization
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -320,8 +318,10 @@ def _certify_real_roots(model, ts, pts):
                                f"real-root certification")
 
 
-def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
-                          certify=True):
+_REFINE_ROUNDS = 3        # grid refinements where consecutive points jump
+
+
+def trace_real_root_curve(model, halfwidth=60.0, n=2001, certify=True):
     """Trace the 1/alpha-plane curve along which the continued determinant
     acquires a real root.
 
@@ -333,7 +333,7 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
     """
     data = continuation_terms(model)
     ts = np.linspace(-halfwidth, halfwidth, n)
-    for _ in range(refine):
+    for _ in range(_REFINE_ROUNDS):
         pts = 2j * PI * _xi_eval(data, ts)
         gaps = np.abs(np.diff(pts))
         med = np.median(gaps)
@@ -343,22 +343,9 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, refine=3,
         extra = ts[big, None] + np.arange(1, 5) * ((ts[big + 1] - ts[big]) / 5)[:, None]
         ts = np.sort(np.concatenate([ts, extra.ravel()]))
     pts = 2j * PI * _xi_eval(data, ts)
-
-    # branch split where the parametrization still jumps (near-real poles)
-    gaps = np.abs(np.diff(pts))
-    med = np.median(gaps)
-    cuts = np.nonzero(gaps > 50 * max(med, 1e-12))[0]
-    branches, start = [], 0
-    for c in cuts:
-        branches.append((start, c + 1))
-        start = c + 1
-    branches.append((start, len(ts)))
-
     if certify:
         _certify_real_roots(model, ts, pts)
-
-    inter = _segment_intersections(pts)
-    return CurveTrace(ts, pts, tuple(branches), inter, data)
+    return CurveTrace(ts, pts, _segment_intersections(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +450,8 @@ def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
 FIG_LAMS = (0.0, 1.0, -2.0)
 FIG_ZS = (-1j, 1 - 1j, -2 - 1j, 3 - 2j)
 FIG_A_LAST = 1.0
+FIG_RASTER = 221          # cells per side of the component map
+FIG_CROSSINGS = 100       # sampled curve crossings
 
 
 def petal_figure_model(lams=FIG_LAMS, zs=FIG_ZS, a_last=FIG_A_LAST):
@@ -485,7 +474,7 @@ def petal_figure_model(lams=FIG_LAMS, zs=FIG_ZS, a_last=FIG_A_LAST):
     return FriedrichsModel(phi, psi, 0.0), avals
 
 
-def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
+def figure2_pipeline(rng_seed=7):
     """Defect map of the built-in four-pole petal curve in the 1/alpha plane.
 
     Returns a report dict with the traced curve, the component labels, the
@@ -494,7 +483,7 @@ def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
     """
     model, avals = petal_figure_model()
     trace = trace_real_root_curve(model, halfwidth=80.0, n=3001)
-    cmap = component_map(trace.points, nx=nx, ny=ny)
+    cmap = component_map(trace.points, nx=FIG_RASTER, ny=FIG_RASTER)
 
     # probe one interior cell per component (re-probing off the curve band)
     xs = np.linspace(cmap.bounds[0], cmap.bounds[1], cmap.nx)
@@ -522,7 +511,7 @@ def figure2_pipeline(nx=221, ny=221, n_crossings=100, rng_seed=7):
     sides = []
     pts, ts = trace.points, trace.ts
     tries = 0
-    while len(sides) < n_crossings and tries < 20 * n_crossings:
+    while len(sides) < FIG_CROSSINGS and tries < 20 * FIG_CROSSINGS:
         tries += 1
         i = int(rng.integers(1, len(ts) - 2))
         tangent = pts[i + 1] - pts[i - 1]
@@ -688,11 +677,11 @@ def build_parser():
         if model:
             sp.add_argument("--model", required=True)
         sp.add_argument("--out")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-8)
 
     sp = sub.add_parser("verify", help="run the randomized identity suite")
     common(sp, model=False)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--count", type=int, default=200)
 
     sp = sub.add_parser("mfun", help="M-function values on a grid")
@@ -721,6 +710,7 @@ def build_parser():
 
     sp = sub.add_parser("recon", help="restricted-resolvent recovery round trip")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-8)
     return p
 
 

@@ -13,7 +13,7 @@ from fmlab.ratfun import (
 )
 from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, solution_operator, tilde_model
-from fmlab import detect
+from fmlab import detect, hardy
 from fmlab.detect import (
     _d_at, PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
     defect_hardy_plus, disjoint_support_classify, jump_rank_check, mb_jump,
@@ -320,7 +320,7 @@ def test_toeplitz_eigenfunction_law():
         if rep.defect == 0:
             continue
         eff = cauchy_kernel_model(MOD_T, alpha)
-        for g in toeplitz_sperp_basis(MOD_T, alpha, rep):
+        for g in toeplitz_sperp_basis(MOD_T, alpha):
             assert sperp_residual(eff, g) < 1e-8
         assert sperp_residual(eff, RatFun.simple_pole(5j)) > 1e-3
 
@@ -408,6 +408,23 @@ def test_minv_jump_table():
     psihat = complex(mp.quad(
         lambda t: 1 / (mp.log((IV[1] - t) / (IV[0] - t)) * (t - k)), IV2))
     assert jr.jump_Minv == pytest.approx(2j * PI * (1 - psihat), abs=1e-8)
+
+
+def test_mb_jump_computes_each_principal_value_once(monkeypatch):
+    # on psi's support only the reciprocal-cauchy transform of psi needs
+    # quadrature (phibar is an indicator, psi phibar has no pieces): one
+    # principal value serves both one-sided values
+    quad, calls = hardy.quad_gk, []
+
+    def counting(*args, **kw):
+        calls.append(args[1:3])
+        return quad(*args, **kw)
+
+    monkeypatch.setattr(hardy, "quad_gk", counting)
+    for k in (2.2, 2.5, 2.8):
+        calls.clear()
+        mb_jump(MOD_PW, k)
+        assert calls == [IV2], k
 
 
 def test_minv_jump_rational_model():

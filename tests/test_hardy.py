@@ -334,6 +334,19 @@ def test_reciprocal_cauchy_subtracted_transform_matches_quadrature():
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), lam
 
 
+def test_principal_value_at_a_quadrature_node():
+    # k = 2.5 is the centre node of the first panel on [2, 3]: the subtracted
+    # integrand is 0/0 there, and the value is still the principal value
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        f = lambda t: 1 / mp.log((t - 1) / t)
+        for k in (mp.mpf("2.5"), mp.mpf("2.3")):
+            fk = f(k)
+            want = complex(mp.quad(lambda t: (f(t) - fk) / (t - k), [2, k, 3])
+                           + fk * mp.log((3 - k) / (k - 2)))
+            assert abs(cauchy_transform_num(RC, float(k)) - want) < 1e-13, k
+
+
 def test_reciprocal_cauchy_subtraction_keeps_integrand_bounded(monkeypatch):
     # next to the support the subtracted integrand is smooth: a few panels
     points = []
@@ -362,9 +375,17 @@ KINDS = {
 def test_array_call_is_the_scalar_calls(name):
     f = KINDS[name]
     ks = np.array([-2.3, -0.2, 0.41, 1.1, 2.62, 3.7])
-    for side in ("+", "-"):
+    for side, sgn in (("+", 1.0), ("-", -1.0)):
         assert same_bits(boundary_value(f, ks, side),
                          [boundary_value(f, k, side) for k in ks])
+        # one principal value under both sides: PV(k) +- i pi f(k), inside a
+        # piece and off the support alike
+        assert same_bits(boundary_value(f, ks, side),
+                         cauchy_transform_num(f, ks) + sgn * 1j * PI * f(ks))
+        for k in ks:
+            pv = cauchy_transform_num(f, k)
+            jump = boundary_value(f, k, side) - pv
+            assert abs(jump - sgn * 1j * PI * f(k)) <= 1e-14 * (1 + abs(pv)), (k, side)
     # the last point is in the real band: a principal value
     lams = np.array([0.4 + 0.8j, -1.1 - 0.3j, 2.5 + 1e-3j, 1.9 - 2.2j, 0.41 + 1e-12j])
     got = cauchy_transform_num(f, lams)

@@ -458,7 +458,9 @@ def test_segment_intersections_on_the_petal_curve():
 
 def test_trace_one_pole_is_one_clean_loop():
     trace = trace_real_root_curve(one_pole_model(), halfwidth=60, n=1201)
-    assert len(trace.branches) == 1
+    # one loop: no gap between consecutive samples stands out
+    gaps = np.abs(np.diff(trace.points))
+    assert gaps.max() < 50 * np.median(gaps)
     nonzero = [p for p in trace.self_intersections if abs(p) > 0.05]
     assert nonzero == []
 
@@ -680,6 +682,19 @@ def test_cli_verify(tmp_path):
     assert main(["verify", "--count", "14", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["passed"] and len(rep["hash"]) == 64
+
+
+def test_cli_verbs_declare_only_the_flags_they_read(model_file, tmp_path):
+    # --seed is read by verify alone, --tol by verify and recon alone
+    for argv in (["figure2", "--seed", "3"], ["figure2", "--tol", "1e-3"],
+                 ["curve", "--model", model_file, "--seed", "3"],
+                 ["scan", "--model", model_file, "--grid=-1,1,-1,1,2,2", "--tol", "1"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--count", "3", "--seed", "4", "--tol", "1e-8",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 4
 
 
 def test_cli_mfun(model_file, tmp_path):

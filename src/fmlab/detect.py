@@ -52,12 +52,15 @@ __all__ = [
 ]
 
 PI = np.pi
-INFINITE = "INFINITE"
 
 # classification tolerances; the real-axis band matches the root finder's
 _PHIBAR_ZERO_TOL = 1e-10
 _M0_LIMIT_TOL = 1e-8
 _RESIDUE_CUT = 1e-13      # psi residues at or below this are dropped
+_CURVE_HALFWIDTH, _CURVE_N = 60.0, 4001    # spectrum_T_membership's sampled a(R)
+_AT_INFINITY_TOL = 1e-8   # relative distance of mu to the symbol's value at infinity
+_DISJOINT_N, _DISJOINT_TOL = 200, 1e-6      # samples per psi interval; |v| taken as 0
+_ON_CURVE_TOL = 1e-6      # SymbolCurve.membership: relative distance to the curve
 # rounding of the computed jump of M (mb_jump): this times the size of the
 # terms summed into M^{-1}, over |M^{-1}(k + i0) M^{-1}(k - i0)|
 _JUMP_ROUND = 8 * np.finfo(float).eps
@@ -73,9 +76,9 @@ class DefectReport:
     P: int
     M: int
     M0: int
-    defect: object            # int or "INFINITE"
+    defect: int
     roots: tuple              # ((location, class), ...)
-    route: str                # HARDY_PLUS | TOEPLITZ | DISJOINT
+    route: str                # HARDY_PLUS | TOEPLITZ
     degenerate: bool = False
     notes: tuple = ()
 
@@ -95,16 +98,6 @@ class JumpReport:
     jump_Minv: complex
     jump_M: complex
     rank: int
-    method: str = "closed-form"
-
-    def as_dict(self):
-        jm = self.jump_M
-        return {
-            "k": self.k,
-            "jump_Minv": [self.jump_Minv.real, self.jump_Minv.imag],
-            "jump_M": None if jm is None or not np.isfinite(jm) else [jm.real, jm.imag],
-            "rank": self.rank, "method": self.method,
-        }
 
 
 @dataclass(frozen=True)
@@ -224,8 +217,7 @@ def continuation_terms(model):
     The real-root curve of the alpha family in the 1/alpha plane is
     2 pi i xi(t), xi(t) = sum_k a_k/(z_k - t) for real t.
     """
-    phibar = conj_reflect(model.phi)
-    return tuple((z, c * complex(phibar(z))) for z, c in _psi_pole_data(model.psi))
+    return tuple((z, c * complex(model.phibar(z))) for z, c in _psi_pole_data(model.psi))
 
 
 def d_plus(model):
@@ -251,8 +243,7 @@ def alpha_pencil(model):
     that d_plus of (phi, alpha psi) is (P + 2 pi i alpha Q)/P for every
     alpha at which no |alpha c_k| is at or below the residue cut.
     """
-    phibar = conj_reflect(model.phi)
-    terms = [(z, c * complex(phibar(z))) for z, c in _psi_pole_data(model.psi, 0.0)]
+    terms = [(z, c * complex(model.phibar(z))) for z, c in _psi_pole_data(model.psi, 0.0)]
     zs = np.array([z for z, _ in terms], dtype=complex)
     Q = np.zeros(len(zs), dtype=complex)
     for k, (_, a) in enumerate(terms):
@@ -315,7 +306,7 @@ def _classify(model, alphas):
     zs = pencil[0]
     cs = np.array([c for _, c in pole_data], dtype=complex)
     alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
-    phibar = conj_reflect(model.phi)
+    phibar = model.phibar
     roots = pencil_roots(pencil, alphas)
     cls = _root_classes(roots, zs, _zeros(phibar))
     live = np.abs(alphas * cs) > _RESIDUE_CUT
@@ -373,7 +364,7 @@ def defect_hardy_plus(model):
                         M > 0, tuple(notes))
 
 
-def sperp_basis(model, report=None):
+def sperp_basis(model):
     """Orthogonal-complement basis for the upper-Hardy route.
 
     Solves the linear constraints that cancel every continuation pole of
@@ -382,23 +373,21 @@ def sperp_basis(model, report=None):
     gbar = (phibar/D_plus) * sum_j c_j gbar(z_j)/(mu - z_j).  The poles
     are the zeros of D_plus, each repeated by its multiplicity and classed
     by `_root_classes` as in the count: the m-th P or M copy of a zero
-    gives the constraint of order m.
+    gives the constraint of order m.  The count is `defect_hardy_plus`:
+    each of its M0 data poles fixes that value to 0, and the basis has its
+    defect's dimension.
     """
-    if report is None:
-        report = defect_hardy_plus(model)
-    if report.defect == INFINITE:
-        raise ValueError("infinite defect has no finite basis")
+    report = defect_hardy_plus(model)
     pole_data = _psi_pole_data(model.psi)
     N = len(pole_data)
     if report.defect == 0:
         return []
-    phibar = conj_reflect(model.phi)
     dp = d_plus(model)
-    g0 = phibar / dp
+    g0 = model.phibar / dp
     zs = np.array([z for z, _ in pole_data], dtype=complex)
     roots = np.array([r for r, m in _zeros(dp) for _ in range(m)], dtype=complex)
     rows, order = [], {}
-    for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(phibar))):
+    for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(model.phibar))):
         if cls in (_P, _M):
             order[r] = order.get(r, 0) + 1
             rows.append([c / (r - z) ** order[r] for z, c in pole_data])
@@ -489,7 +478,7 @@ def toeplitz_defect(model, alpha):
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     _require_halfplane(model.phi, "UPPER", "phi")
-    a = model.psi * conj_reflect(model.phi)
+    a = model.psi_phibar
     _require_halfplane(a, "UPPER", "symbol a")
     mu_a = 1.0 / (2j * PI * alpha)
     fac = factorize_rational(a - mu_a)
@@ -506,8 +495,7 @@ def toeplitz_defect(model, alpha):
 def toeplitz_sperp_basis(model, alpha):
     """S-perp representatives phi/(x - conj(w))^m over the inner-factor zeros."""
     mu_a = 1.0 / (2j * PI * complex(alpha))
-    a = model.psi * conj_reflect(model.phi)
-    fac = factorize_rational(a - mu_a)
+    fac = factorize_rational(model.psi_phibar - mu_a)
     out = []
     for w, mult in fac.blaschke.zeros:
         for m in range(1, mult + 1):
@@ -540,7 +528,7 @@ class SpectrumMembership:
     preimages: tuple
 
 
-def spectrum_T_membership(a, mu, curve_halfwidth=60.0, n_curve=4001, tol=1e-8):
+def spectrum_T_membership(a, mu):
     """Locate mu relative to the spectrum of the Toeplitz operator with symbol a.
 
     Counts lower-half-plane solutions of a(z) = mu (point spectrum when > 0),
@@ -562,11 +550,11 @@ def spectrum_T_membership(a, mu, curve_halfwidth=60.0, n_curve=4001, tol=1e-8):
     lower = [(z, m) for z, m in roots if z.imag < -REAL_BAND]
     band = [(z, m) for z, m in roots if abs(z.imag) <= REAL_BAND]
     count = sum(m for _, m in lower)
-    ts = np.linspace(-curve_halfwidth, curve_halfwidth, n_curve)
+    ts = np.linspace(-_CURVE_HALFWIDTH, _CURVE_HALFWIDTH, _CURVE_N)
     curve_dist = float(np.min(np.abs(a(ts) - mu)))
     scale = 1.0 + abs(mu)
     near_curve = curve_dist <= 1e-6 * scale or band
-    at_infinity = abs(a_inf - mu) <= tol * scale
+    at_infinity = abs(a_inf - mu) <= _AT_INFINITY_TOL * scale
     if near_curve or at_infinity:
         # reached only in the t -> +-infinity limit, with no half-plane or
         # axis preimage: the compactification point of the symbol curve
@@ -587,18 +575,15 @@ class DisjointReport:
     classification: str        # FULL | INFINITE_DEFECT | UNRESOLVED
     near_zero_intervals: tuple
     min_abs: float
-    sides_agreement: float
 
 
-def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
+def disjoint_support_classify(phi, psi):
     """Detectability for piecewise data with disjoint supports.
 
-    Samples v(k) = 1 - psi(k) phibarhat(k - i0) over the support of psi.
-    Both one-sided boundary values, the one principal value +- i pi
-    phibar(k), are evaluated; they must agree there (the Plemelj jump is
-    carried by phi, supported elsewhere).  v == 0 on an interval (confirmed
-    at two grid refinements) means infinite defect; v bounded away from
-    zero means the detectable subspace is everything.
+    Samples v(k) = 1 - psi(k) phibarhat(k - i0) over the support of psi,
+    with phibarhat(k - i0) the principal value - i pi phibar(k).  v == 0 on
+    an interval (confirmed at two grid refinements) means infinite defect;
+    v bounded away from zero means the detectable subspace is everything.
     """
     sup_phi, sup_psi = phi.support, psi.support
     for a1, b1 in sup_psi:
@@ -610,31 +595,26 @@ def disjoint_support_classify(phi, psi, n=200, tol=1e-6):
     def scan(npts):
         ks = np.concatenate([np.linspace(a + (b - a) * 1e-3, b - (b - a) * 1e-3, npts)
                              for a, b in sup_psi])
-        pv, jump = cauchy_transform_num(phibar, ks), 1j * PI * phibar(ks)
-        vm = 1.0 - psi(ks) * (pv - jump)
-        vp = 1.0 - psi(ks) * (pv + jump)
-        return ks, vm, float(np.max(np.abs(vp - vm)))
+        return ks, 1.0 - psi(ks) * boundary_value(phibar, ks, "-")
 
     def zero_spans(ks, vs):
-        """(first k, last k) of each run of |v| < tol at least two grid
-        spacings long."""
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], np.abs(vs) < tol, [0]])))
+        """(first k, last k) of each run of |v| < _DISJOINT_TOL at least two
+        grid spacings long."""
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], np.abs(vs) < _DISJOINT_TOL, [0]])))
         spacing = (ks[1] - ks[0]) if len(ks) > 1 else 0.0
         return [(ks[i], ks[j - 1]) for i, j in zip(edges[::2], edges[1::2])
                 if ks[j - 1] - ks[i] >= 2 * spacing]
 
-    ks, vs, agree = scan(n)
+    ks, vs = scan(_DISJOINT_N)
     min_abs = float(np.min(np.abs(vs)))
-    if min_abs > tol:
-        return DisjointReport("FULL", (), min_abs, agree)
+    if min_abs > _DISJOINT_TOL:
+        return DisjointReport("FULL", (), min_abs)
     spans1 = zero_spans(ks, vs)
-    ks2, vs2, agree2 = scan(2 * n)
+    ks2, vs2 = scan(2 * _DISJOINT_N)
     spans2 = zero_spans(ks2, vs2)
-    agree = max(agree, agree2)
     if spans1 and spans2:
-        return DisjointReport("INFINITE_DEFECT", tuple(spans2),
-                              float(np.min(np.abs(vs2))), agree)
-    return DisjointReport("UNRESOLVED", tuple(spans2), min_abs, agree)
+        return DisjointReport("INFINITE_DEFECT", tuple(spans2), float(np.min(np.abs(vs2))))
+    return DisjointReport("UNRESOLVED", tuple(spans2), min_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +657,7 @@ def mb_jump(model, k, tol=1e-8):
     else:
         jump_m = 1.0 / mp - 1.0 / mm
         rank = 0 if abs(jump_m) <= tol else 1
-    return JumpReport(k, jump_minv, jump_m, rank, "closed-form")
+    return JumpReport(k, jump_minv, jump_m, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -727,17 +707,12 @@ class SymbolCurve:
     ks: np.ndarray
     values: np.ndarray        # 2 pi i script-M(k): the 1/alpha-plane curve
 
-    def membership(self, alpha=None, target=None, tol=1e-6):
-        """(on_curve, winding, distance) of 1/alpha (or an explicit target)."""
-        if target is None:
-            if alpha is None or alpha == 0:
-                raise ValueError("need alpha != 0 or an explicit target")
-            target = 1.0 / complex(alpha)
+    def membership(self, target):
+        """(on_curve, winding, distance) of a point of the 1/alpha plane."""
         target = complex(target)
         pts = np.concatenate([[0.0], self.values, [0.0]])  # closes through 0
         dist = float(np.min(np.abs(pts - target)))
-        scale = 1.0 + abs(target)
-        on_curve = dist <= tol * scale
+        on_curve = dist <= _ON_CURVE_TOL * (1.0 + abs(target))
         if on_curve:
             return True, None, dist
         rel = pts - target

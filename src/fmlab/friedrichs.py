@@ -239,21 +239,22 @@ def _verify_aronszajn(model, C, lam):
     return abs(mb - (1.0 + mb * (model.B - C)) * mc) / (1.0 + abs(mb))
 
 
-def _verify_fund(model, lam, mu, mu_t, f=1.0, w=1.0):
-    """Fundamental pairing identity with F in Ran S_{mu,B}, v in the tilde range."""
+def _verify_fund(model, lam, mu, mu_t):
+    """Fundamental pairing identity for F = S_{mu,B} 1, v = S~_{mu_t} 1 (linear in both)."""
     tm = tilde_model(model)
-    F = solution_operator(model, mu, f)
-    v = solution_operator(tm, mu_t, w)
+    F = solution_operator(model, mu)
+    v = solution_operator(tm, mu_t)
     r = apply_resolvent(model, lam, F.f)
     lhs = inner_product(F.f - (mu - lam) * r.f, (mu_t - np.conj(lam)) * v.f)
     mb = m_function(model, lam)
-    rhs = mb.M * complex(f) * np.conj(complex(w)) - complex(f) * np.conj(v.gamma2)
+    rhs = mb.M - np.conj(v.gamma2)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 
-def _verify_sdiff(model, lam, lam0, f=1.0):
-    u = solution_operator(model, lam, f)
-    u0 = solution_operator(model, lam0, f)
+def _verify_sdiff(model, lam, lam0):
+    """S_lam 1 - S_lam0 1 = (lam - lam0) R(lam) S_lam0 1, sampled."""
+    u = solution_operator(model, lam)
+    u0 = solution_operator(model, lam0)
     r = apply_resolvent(model, lam, u0.f)
     uf = u.f(_XS)
     diff = uf - u0.f(_XS) - (lam - lam0) * r.f(_XS)

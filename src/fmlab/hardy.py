@@ -282,7 +282,7 @@ def _log_ratio(a, b, lam):
     return complex(np.log((b - lam) / (a - lam)))
 
 
-def _piece_transform(p, lam, tol=1e-9):
+def _piece_transform(p, lam):
     """Integral of p(t)/(t - lam) over the piece: the ordinary integral for
     lam off [p.a, p.b], the principal value for real lam inside (a, b).
 
@@ -310,14 +310,14 @@ def _piece_transform(p, lam, tol=1e-9):
         ia, ib = p.payload
         v = 1.0 / np.log((ib - lam) / (ia - lam))
     else:
-        return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b, tol=tol)
+        return quad_gk(lambda t: p.evaluate(t) / (t - lam), a, b)
 
     def subtracted(t):
         d = t - lam
         # a node at lam itself: the numerator is exactly 0 there
         return (p.evaluate(t) - v) / np.where(d == 0, 1.0, d)
 
-    return quad_gk(subtracted, a, b, tol=tol) + v * log
+    return quad_gk(subtracted, a, b) + v * log
 
 
 def _shaped(out, x):
@@ -328,17 +328,19 @@ def _shaped(out, x):
 
 def boundary_value(f, k, side="+"):
     """One-sided Cauchy-transform boundary value fhat(k +- i0) of rational or
-    piecewise f, k a real scalar or array.
+    piecewise f, k a real scalar or array, side "+" or "-".
 
     By Sokhotski-Plemelj it is the principal value, `cauchy_transform_num`
     at real k, +- i pi f(k).
     """
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', not {side!r}")
     ks = np.asarray(k, dtype=float).ravel()
-    sgn = 1.0 if side in ("+", +1) else -1.0
+    sgn = 1.0 if side == "+" else -1.0
     return _shaped(cauchy_transform_num(f, ks) + sgn * 1j * np.pi * f(ks), k)
 
 
-def cauchy_transform_num(f, lam, tol=1e-9):
+def cauchy_transform_num(f, lam):
     """Cauchy transform int f(t)/(t - lam) dt of rational or piecewise f,
     lam a scalar or an array.
 
@@ -351,13 +353,14 @@ def cauchy_transform_num(f, lam, tol=1e-9):
     constant no principal value; a real pole of f is refused there.
     Piecewise f sums `_piece_transform` over its pieces: indicators in
     closed form, the other pieces by adaptive quadrature under its one
-    subtraction rule; a k on a piece endpoint is refused.
+    subtraction rule, at `quad_gk`'s tolerance; a k on a piece endpoint is
+    refused.
     """
     lams = np.asarray(lam, dtype=complex).ravel()
     axis = np.abs(lams.imag) < REAL_BAND
     if not isinstance(f, RatFun):
         # an axis point enters as its real part: a principal value
-        out = np.array([sum((_piece_transform(p, z.real if on else z, tol) for p in f.pieces), 0j)
+        out = np.array([sum((_piece_transform(p, z.real if on else z) for p in f.pieces), 0j)
                         for z, on in zip(lams.tolist(), axis.tolist())], dtype=complex)
         return _shaped(out, lam)
     out = np.empty(lams.shape, dtype=complex)
@@ -412,9 +415,11 @@ class BlaschkeProduct:
 class Factorization:
     blaschke: BlaschkeProduct
     outer: RatFun
-    singular: str = "trivial"
     boundary_zeros: tuple = ()
-    degenerate: bool = False
+
+    @property
+    def degenerate(self):     # zeros on the real axis
+        return bool(self.boundary_zeros)
 
 
 def blaschke_build(zeros):
@@ -453,4 +458,4 @@ def factorize_rational(f):
             boundary.append((z, m))
     b = blaschke_build(lower) if lower else BlaschkeProduct()
     outer = f / b.as_ratfun() if lower else f
-    return Factorization(b, outer, "trivial", tuple(boundary), bool(boundary))
+    return Factorization(b, outer, tuple(boundary))

@@ -203,16 +203,14 @@ def _expand(roots, lead=1.0 + 0j):
 # root finding: companion matrix, one Newton polish, clustering
 # ---------------------------------------------------------------------------
 
-def _cluster(roots, errs=None):
+def _cluster(roots, errs):
     """Merge roots within the clustering radius; returns (root, mult) list.
 
-    The radius is the relative design radius plus per-root error estimates
-    (when supplied): multiple roots are only computable to ~sqrt(eps), so the
+    The radius is the relative design radius plus the per-root error
+    estimates errs: multiple roots are only computable to ~sqrt(eps), so the
     fixed radius alone would split them.
     """
     roots = list(roots)
-    if errs is None:
-        errs = [0.0] * len(roots)
     out = []
     used = [False] * len(roots)
     order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
@@ -688,7 +686,9 @@ class RatFun:
         """Values at x (scalar or array).  Beyond twice the pole radius the
         quotient num/den is evaluated instead of the pole form: when the
         residues cancel at infinity, the pole form loses relative accuracy
-        there in proportion to |x|."""
+        there in proportion to |x|.  A scalar and a one-element array take
+        different loops and can round a few ulp apart: compare arrays when
+        bits matter."""
         terms, poly = self._parts()
         far = 2.0 * (1.0 + max((abs(z) for z, _ in terms), default=0.0))
         if not isinstance(x, np.ndarray):

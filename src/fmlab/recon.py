@@ -100,7 +100,6 @@ class ResolventOracle:
     """
 
     _model: FriedrichsModel
-    metadata: str = "restricted-resolvent"
     transcript: list = field(default_factory=list)
 
     def _log(self, op, lam, g):

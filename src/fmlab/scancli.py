@@ -29,6 +29,8 @@ PI = np.pi
 PLANES = ("ALPHA", "MU", "MU_HAT", "INV_ALPHA")
 UNRESOLVED = "UNRESOLVED"
 OK = "OK"
+_DRAW_MIN_IM = 0.1        # random poles of the verify suite: distance from the axis
+_MAP_PAD = 1.3            # default component-map bounds: the curve's extent times this
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +323,16 @@ def _certify_real_roots(model, ts, pts):
 _REFINE_ROUNDS = 3        # grid refinements where consecutive points jump
 
 
-def trace_real_root_curve(model, halfwidth=60.0, n=2001, certify=True):
+def trace_real_root_curve(model, halfwidth=60.0, n=2001):
     """Trace the 1/alpha-plane curve along which the continued determinant
     acquires a real root.
 
     The curve is 2 pi i xi(t) for t real, xi(t) = sum a_k/(z_k - t); the grid
-    is refined where consecutive points jump, and each kept sample can be
+    is refined where consecutive points jump, and every kept sample is
     certified (`_certify_real_roots`): a Newton inclusion bound at its t, or
     failing that the eigenvalues, must put a root of the determinant
-    numerator at the matching alpha within REAL_BAND of the axis.
+    numerator at the matching alpha within REAL_BAND of the axis, or
+    RuntimeError is raised.
     """
     data = continuation_terms(model)
     ts = np.linspace(-halfwidth, halfwidth, n)
@@ -343,8 +346,7 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001, certify=True):
         extra = ts[big, None] + np.arange(1, 5) * ((ts[big + 1] - ts[big]) / 5)[:, None]
         ts = np.sort(np.concatenate([ts, extra.ravel()]))
     pts = 2j * PI * _xi_eval(data, ts)
-    if certify:
-        _certify_real_roots(model, ts, pts)
+    _certify_real_roots(model, ts, pts)
     return CurveTrace(ts, pts, _segment_intersections(pts))
 
 
@@ -407,7 +409,7 @@ def _label_runs(free):
     return labels
 
 
-def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
+def component_map(points, bounds=None, nx=241, ny=241):
     """Label the complement of a closed curve family on a raster grid.
 
     The polyline is densified to steps of at most half a cell and rasterized
@@ -420,8 +422,8 @@ def component_map(points, bounds=None, nx=241, ny=241, pad=1.3):
     if bounds is None:
         cx = (points.real.min() + points.real.max()) / 2
         cy = (points.imag.min() + points.imag.max()) / 2
-        hx = (points.real.max() - points.real.min()) / 2 * pad
-        hy = (points.imag.max() - points.imag.min()) / 2 * pad
+        hx = (points.real.max() - points.real.min()) / 2 * _MAP_PAD
+        hy = (points.imag.max() - points.imag.min()) / 2 * _MAP_PAD
         h = max(hx, hy, 1e-6)
         bounds = (cx - h, cx + h, cy - h, cy + h)
     x0, x1, y0, y1 = bounds
@@ -454,19 +456,18 @@ FIG_RASTER = 221          # cells per side of the component map
 FIG_CROSSINGS = 100       # sampled curve crossings
 
 
-def petal_figure_model(lams=FIG_LAMS, zs=FIG_ZS, a_last=FIG_A_LAST):
-    """Four-pole model whose real-root curve has prescribed real zeros.
+def petal_figure_model():
+    """Four-pole model whose real-root curve has the real zeros FIG_LAMS.
 
-    The first N-1 residues a_k of xi are solved from the linear system
-    xi(lam_j) = 0; the model realizes them with phibar = 1/(x - i), so
-    c_k = a_k (z_k - i).
+    xi has its poles at FIG_ZS and its last residue FIG_A_LAST; the other
+    residues a_k are solved from the linear system xi(lam_j) = 0.  The model
+    realizes them with phibar = 1/(x - i), so c_k = a_k (z_k - i).
     """
-    zs = [complex(z) for z in zs]
-    lams = [complex(l) for l in lams]
-    n = len(zs)
+    zs = [complex(z) for z in FIG_ZS]
+    lams = [complex(l) for l in FIG_LAMS]
     Z = np.array([[1.0 / (zk - lj) for zk in zs[:-1]] for lj in lams])
-    rhs = np.array([-a_last / (zs[-1] - lj) for lj in lams])
-    avals = np.concatenate([np.linalg.solve(Z, rhs), [a_last]])
+    rhs = np.array([-FIG_A_LAST / (zs[-1] - lj) for lj in lams])
+    avals = np.concatenate([np.linalg.solve(Z, rhs), [FIG_A_LAST]])
     phi = RatFun.simple_pole(-1j)               # phibar = 1/(x - i)
     psi = RatFun.zero()
     for z, a in zip(zs, avals):
@@ -545,12 +546,12 @@ def figure2_pipeline(rng_seed=7):
 # verification suite
 # ---------------------------------------------------------------------------
 
-def _draw_l2(rng, deg, min_im=0.1, min_sep=0.0, half=0):
+def _draw_l2(rng, deg, min_sep=0.0, half=0):
     while True:
         locs = []
         for _ in range(deg):
             sgn = half if half else (1 if rng.random() < 0.5 else -1)
-            z = complex(rng.uniform(-2, 2), (min_im + rng.uniform(0, 2)) * sgn)
+            z = complex(rng.uniform(-2, 2), (_DRAW_MIN_IM + rng.uniform(0, 2)) * sgn)
             locs.append(z)
         if min_sep and any(abs(a - b) < min_sep
                            for i, a in enumerate(locs) for b in locs[:i]):
@@ -565,14 +566,12 @@ def _draw_l2(rng, deg, min_im=0.1, min_sep=0.0, half=0):
     return RatFun(num, den, den_roots=[(z, 1) for z in locs])
 
 
-def run_verify_suite(seed=0, count=1000, tol=1e-8, corrupt=None):
+def run_verify_suite(seed=0, count=1000, tol=1e-8):
     """Randomized residual suite over the exact-identity verifiers.
 
     Draws `count` random rational models, cycling through the identity
     families (one check per model so the suite stays fast at count=1000);
-    reports the max residual per kind and a reproducible digest.  `corrupt`
-    names a kind whose residuals are fault-injected (self-test of the
-    failure path only).
+    reports the max residual per kind and a reproducible digest.
     """
     rng = np.random.default_rng(seed)
     kinds = ("green", "resolvent", "krein", "aronszajn", "fund", "sdiff",
@@ -624,8 +623,6 @@ def run_verify_suite(seed=0, count=1000, tol=1e-8, corrupt=None):
         except (ValueError, RuntimeError):
             continue   # degenerate draw (eigenvalue hit, D-zero); skip
         worst[kind] = max(worst[kind], float(r))
-    if corrupt in worst:
-        worst[corrupt] = max(worst[corrupt], 1e-3)
     passed = all(r < tol for r in worst.values())
     payload = {"seed": seed, "count": count, "tol": tol,
                "residuals": {k: f"{worst[k]:.6e}" for k in kinds},

@@ -152,7 +152,7 @@ def test_petal_double_defect_inside():
     mod = FriedrichsModel(PHI_PETAL, psi, 0.0)
     rep = defect_hardy_plus(mod)
     assert rep.defect == 2 and rep.P == 0
-    basis = sperp_basis(mod, rep)
+    basis = sperp_basis(mod)
     gram = np.array([[inner_product(a, b) for b in basis] for a in basis])
     assert np.linalg.matrix_rank(gram, tol=1e-8) == 2
     for g in basis:
@@ -197,7 +197,7 @@ def test_sperp_basis_on_double_root_at_phibar_zero():
     rep = defect_hardy_plus(mod)
     assert (rep.N, rep.P, rep.M, rep.M0, rep.defect) == (2, 1, 0, 0, 1)
     assert sorted(c for _, c in rep.roots) == ["CANCELLED", "P"]
-    (g,) = sperp_basis(mod, rep)
+    (g,) = sperp_basis(mod)
     assert sperp_residual(mod, g) < 1e-8
 
 
@@ -371,7 +371,6 @@ MOD_PW = PiecewiseModel(PHI_PW, PSI_PW, 0.0)
 def test_disjoint_infinite_defect():
     rep = disjoint_support_classify(PHI_PW, PSI_PW)
     assert rep.classification == "INFINITE_DEFECT"
-    assert rep.sides_agreement < 1e-9
 
 
 def test_disjoint_tilde_full():

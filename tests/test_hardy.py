@@ -405,6 +405,14 @@ def test_plemelj_property_random(seed):
     assert abs(jump - 2j * PI * f(k)) <= 1e-9 * (1 + abs(f(k)))
 
 
+def test_boundary_value_rejects_unknown_side():
+    # only "+" and "-" name a side; anything else once answered for k - i0
+    for f in (RatFun.simple_pole(1j), PiecewiseFun.indicator(0, 1)):
+        for side in ("up", "", +1, -1, None):
+            with pytest.raises(ValueError, match="side"):
+                boundary_value(f, 0.5, side)
+
+
 def test_uniqueness_lemma_discriminates():
     # a decaying rational with zero jump on R and zero transform off R must be 0;
     # the sampled criterion accepts 0 and rejects 1/(x-i)

@@ -363,7 +363,7 @@ def test_trace_points_are_curve_samples():
 
 def test_trace_points_certify_as_real_roots():
     model, _ = petal_figure_model()
-    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    trace = trace_real_root_curve(model, halfwidth=40, n=801)
     pts = trace.points[::37]
     roots = pencil_roots(alpha_pencil(model), 1.0 / pts[np.abs(pts) >= 1e-9])
     assert np.all(np.min(np.abs(roots.imag), axis=1) < REAL_BAND)
@@ -383,7 +383,7 @@ def test_certificate_falls_back_to_eigenvalues(monkeypatch):
     # at t shifted by 0.01 the bound is about 0.01 and certifies nothing,
     # but the roots at alpha = 1/w are still real: the fallback accepts all
     model, _ = petal_figure_model()
-    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    trace = trace_real_root_curve(model, halfwidth=40, n=801)
     seen = []
 
     def spy(pencil, alphas):
@@ -397,7 +397,7 @@ def test_certificate_falls_back_to_eigenvalues(monkeypatch):
 
 def test_certificate_refuses_points_off_the_curve():
     model, _ = petal_figure_model()
-    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    trace = trace_real_root_curve(model, halfwidth=40, n=801)
     with pytest.raises(RuntimeError, match="real-root certification"):
         _certify_real_roots(model, trace.ts, trace.points + 0.05j)
 
@@ -451,7 +451,7 @@ def test_segment_intersections_find_every_crossing(y):
 
 def test_segment_intersections_on_the_petal_curve():
     model, _ = petal_figure_model()
-    trace = trace_real_root_curve(model, halfwidth=40, n=801, certify=False)
+    trace = trace_real_root_curve(model, halfwidth=40, n=801)
     assert trace.self_intersections == all_pairs_crossings(trace.points)
     assert len(trace.self_intersections) == 3
 
@@ -661,8 +661,15 @@ def test_verify_suite_hash_reproducible():
     assert a["hash"] == b["hash"] and a["hash"] != c["hash"]
 
 
-def test_verify_suite_fault_injection():
-    rep = run_verify_suite(seed=2, count=21, corrupt="green")
+def test_verify_suite_fault_injection(monkeypatch):
+    # a green check that answers 1e-3 must fail the suite, and only green
+    verify = scancli.verify_identity
+
+    def faulty(kind, model, **kw):
+        return 1e-3 if kind == "green" else verify(kind, model, **kw)
+
+    monkeypatch.setattr(scancli, "verify_identity", faulty)
+    rep = run_verify_suite(seed=2, count=21)
     assert rep["passed"] is False and rep["failed_kinds"] == ["green"]
 
 

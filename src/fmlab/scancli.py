@@ -198,6 +198,49 @@ _PAIR_BLOCK = 1 << 16     # candidate segment pairs tested per numpy pass
 _STENCIL = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
+def _stencil_ranges(pts, cell, ws):
+    """Key the points pts on square cells of side `cell` and look up the 3x3
+    cells around the cell of each query point ws[q].
+
+    Returns (order, lo, hi), lo and hi of shape (len(ws), 9): the points of
+    stencil cell s are pts[order[lo[q, s]:hi[q, s]]].  Every point within
+    `cell` of ws[q] on both axes, less the rounding of the keys, is among
+    them.  The key of a query off the points' bounding box can wrap into
+    another column of cells; that adds points but loses none.
+    """
+    x0, y0 = pts.real.min(), pts.imag.min()
+
+    def cells(z):
+        return (np.floor((z.real - x0) / cell).astype(np.int64),
+                np.floor((z.imag - y0) / cell).astype(np.int64) + 1)
+
+    kx, ky = cells(pts)
+    stride = ky.max() + 2               # ky - 1 and ky + 1 stay in one column
+    key = kx * stride + ky
+    order = np.argsort(key)
+    qx, qy = cells(ws)
+    want = (qx * stride + qy)[:, None] + _STENCIL[:, 0] * stride + _STENCIL[:, 1]
+    return (order, np.searchsorted(key[order], want, "left"),
+            np.searchsorted(key[order], want, "right"))
+
+
+def _any_within(pts, ws, r):
+    """For each query point ws[q]: does some point of pts lie at distance
+    below r[q] > 0 from it?
+
+    The test np.abs(pts - ws[q]) < r[q] runs only on the points in the 3x3
+    cells of side 1.001 max(r) around ws[q] (`_stencil_ranges`), which hold
+    every point that can pass it, so the answer is the full scan's.
+    """
+    order, lo, hi = _stencil_ranges(pts, 1.001 * r.max(), ws)
+    q = np.repeat(np.arange(len(ws)), (hi - lo).sum(axis=1))
+    lo, cnt = lo.ravel(), (hi - lo).ravel()
+    cand = order[np.arange(cnt.sum()) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)]
+    near = np.zeros(len(ws), dtype=bool)
+    near[q[np.abs(pts[cand] - ws[q]) < r[q]]] = True
+    return near
+
+
 def _segment_intersections(pts):
     """Transversal self-crossings of the polyline pts, in curve order.
 
@@ -233,19 +276,12 @@ def _segment_intersections(pts):
     for c in np.unique(level):
         # the 0.001 margin keeps the rounding of the keys from parting a
         # pair by two cells; with cells over 2^-30 of the span, keys fit
-        cell = 1.001 * top / 2.0 ** c
         tg = np.flatnonzero(level >= c)
-        kx = ((mids.real[tg] - mids.real[tg].min()) / cell).astype(np.int64)
-        ky = ((mids.imag[tg] - mids.imag[tg].min()) / cell).astype(np.int64) + 1
-        stride = ky.max() + 2               # ky - 1 and ky + 1 stay in one column
-        key = kx * stride + ky
-        order = np.argsort(key)
-        own = level[tg] == c
-        want = key[own, None] + _STENCIL[:, 0] * stride + _STENCIL[:, 1]
-        lo = np.searchsorted(key[order], want, "left")
-        segs.append(np.repeat(tg[own], len(_STENCIL)))
+        own = tg[level[tg] == c]
+        order, lo, hi = _stencil_ranges(mids[tg], 1.001 * top / 2.0 ** c, mids[own])
+        segs.append(np.repeat(own, len(_STENCIL)))
         los.append(lo.ravel() + sum(map(len, targets)))
-        cnts.append((np.searchsorted(key[order], want, "right") - lo).ravel())
+        cnts.append((hi - lo).ravel())
         targets.append(tg[order])
     seg, lo, cnt, targets = map(np.concatenate, (segs, los, cnts, targets))
     cum = np.cumsum(cnt)
@@ -475,59 +511,81 @@ def petal_figure_model():
     return FriedrichsModel(phi, psi, 0.0), avals
 
 
+def _band_distance(band):
+    """City-block distance from each cell of the 2-D bool array band to the
+    nearest True cell, inf when there is none.
+
+    This is the distance transform of Rosenfeld & Pfaltz (J. ACM 13, 1966),
+    taken one axis at a time: along an axis with index k, the distance is
+    the smaller of k + (running minimum of d - k) and its mirror image.  A
+    cell at distance d survives d - 1 erosions of the cells off the band by
+    the 4-neighbour cross, cells off the array counting as off the band.
+    """
+    d = np.where(band, 0.0, np.inf)
+    for axis in (1, 0):
+        k = np.expand_dims(np.arange(d.shape[axis], dtype=float), 1 - axis)
+        fwd = k + np.minimum.accumulate(d - k, axis=axis)
+        bwd = np.flip(np.minimum.accumulate(np.flip(d + k, axis), axis=axis), axis) - k
+        d = np.minimum(fwd, bwd)
+    return d
+
+
 def figure2_pipeline(rng_seed=7):
     """Defect map of the built-in four-pole petal curve in the 1/alpha plane.
 
     Returns a report dict with the traced curve, the component labels, the
     per-component defect (pole count minus lower root count), and the sampled
     curve-crossing checks.
+
+    Each component is probed at its deepest cell: the one that survives the
+    most 4-neighbour erosions of the cells off the curve band, which is the
+    one farthest from the band in city-block distance (`_band_distance`),
+    the first in row-major order among equals.  The crossing checks draw
+    20 FIG_CROSSINGS curve samples w in one call, put a point
+    eps = 0.02 (1 + |w|) off w on each side along the normal, and keep the
+    first FIG_CROSSINGS samples whose two points have no curve point within
+    eps/2 (`_any_within`, an exact test); across the curve the defect must
+    change by exactly 1.
     """
     model, avals = petal_figure_model()
     trace = trace_real_root_curve(model, halfwidth=80.0, n=3001)
     cmap = component_map(trace.points, nx=FIG_RASTER, ny=FIG_RASTER)
 
-    # probe one interior cell per component (re-probing off the curve band)
+    # probe each component at its deepest cell: lexsort is stable, so it
+    # orders the cells by label, then from the deepest, then in row-major
+    # order
+    labels = cmap.labels.ravel()
+    order = np.lexsort((-_band_distance(cmap.labels < 0).ravel(), labels))
+    labs, first, cells = np.unique(labels[order], return_index=True,
+                                   return_counts=True)
+    comp = labs >= 0                    # -1 is the curve band
+    j, i = np.divmod(order[first[comp]], cmap.nx)
     xs = np.linspace(cmap.bounds[0], cmap.bounds[1], cmap.nx)
     ys = np.linspace(cmap.bounds[2], cmap.bounds[3], cmap.ny)
-    probes = {}
-    counts = {}
-    for lab in np.unique(cmap.labels):
-        if lab < 0:
-            continue
-        cells = np.argwhere(cmap.labels == lab)
-        counts[int(lab)] = len(cells)
-        # take the cell farthest from the curve band inside the component
-        best = None
-        for j, i in cells[:: max(1, len(cells) // 200)]:
-            w = complex(xs[i], ys[j])
-            dist = np.min(np.abs(trace.points - w))
-            if best is None or dist > best[0]:
-                best = (dist, w)
-        probes[int(lab)] = best[1]
-    probe_defects = pencil_defects(model, 1.0 / np.array(list(probes.values())))
-    comp_defect = {lab: int(d) for lab, d in zip(probes, probe_defects)}
+    probe_defects = pencil_defects(model, 1.0 / (xs[i] + 1j * ys[j]))
+    comp_defect = {int(lab): int(d) for lab, d in zip(labs[comp], probe_defects)}
+    counts = {int(lab): int(n) for lab, n in zip(labs[comp], cells[comp])}
 
-    # crossing samples: defect jumps by exactly 1 across the curve
-    rng = np.random.default_rng(rng_seed)
-    sides = []
+    # crossing samples: defect jumps by exactly 1 across the curve.  One
+    # sized draw gives the integers of as many scalar draws; np.hypot rounds
+    # as the scalar abs(), which np.abs of a complex array need not
     pts, ts = trace.points, trace.ts
-    tries = 0
-    while len(sides) < FIG_CROSSINGS and tries < 20 * FIG_CROSSINGS:
-        tries += 1
-        i = int(rng.integers(1, len(ts) - 2))
-        tangent = pts[i + 1] - pts[i - 1]
-        if abs(tangent) < 1e-12 or abs(pts[i]) < 0.5:
-            continue
-        normal = 1j * tangent / abs(tangent)
-        eps = 0.02 * (1 + abs(pts[i]))
-        wa, wb = pts[i] + eps * normal, pts[i] - eps * normal
-        if np.min(np.abs(pts - wa)) < 0.5 * eps or np.min(np.abs(pts - wb)) < 0.5 * eps:
-            continue   # too close to another curve strand: not a clean crossing
-        sides.append((ts[i], wa, wb))
-    ws = np.array([(wa, wb) for _, wa, wb in sides]).reshape(-1, 2)
-    side_defects = pencil_defects(model, 1.0 / ws.ravel()).reshape(-1, 2)
+    rng = np.random.default_rng(rng_seed)
+    i = rng.integers(1, len(ts) - 2, size=20 * FIG_CROSSINGS)
+    tangent = pts[i + 1] - pts[i - 1]
+    tlen = np.hypot(tangent.real, tangent.imag)
+    size = np.hypot(pts[i].real, pts[i].imag)
+    ok = (tlen >= 1e-12) & (size >= 0.5)
+    i, tangent, tlen, size = i[ok], tangent[ok], tlen[ok], size[ok]
+    normal = 1j * tangent / tlen
+    eps = 0.02 * (1 + size)
+    ws = np.stack([pts[i] + eps * normal, pts[i] - eps * normal], axis=1)
+    # too close to another curve strand: not a clean crossing
+    near = _any_within(pts, ws.ravel(), np.repeat(0.5 * eps, 2)).reshape(-1, 2)
+    keep = np.flatnonzero(~near.any(axis=1))[:FIG_CROSSINGS]
+    side_defects = pencil_defects(model, 1.0 / ws[keep].ravel()).reshape(-1, 2)
     crossings = [(t, int(da), int(db))
-                 for (t, _, _), (da, db) in zip(sides, side_defects)]
+                 for t, (da, db) in zip(ts[i[keep]], side_defects)]
 
     report = {
         "a_values": [_c_enc(a) for a in avals],

@@ -4,18 +4,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmlab.ratfun import (REAL_BAND, Poly, RatFun, conj_reflect,
                           partial_fractions, poly_from_roots)
 from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
 from fmlab.detect import (alpha_pencil, continuation_terms, d_plus,
-                          defect_hardy_plus, pencil_roots)
+                          defect_hardy_plus, pencil_defects, pencil_roots)
 from fmlab import scancli
 from fmlab.scancli import (
-    ComponentMap, CurveTrace, ScanGrid, _certify_real_roots, _label_runs,
-    _segment_intersections, _xi_eval,
-    component_map, figure2_pipeline, main, model_from_json, model_to_json,
+    FIG_CROSSINGS, ComponentMap, CurveTrace, ScanGrid, _any_within,
+    _band_distance, _certify_real_roots, _label_runs, _segment_intersections,
+    _xi_eval, component_map, figure2_pipeline, main, model_from_json, model_to_json,
     petal_figure_model, piecewise_from_json, piecewise_to_json,
     rat_from_json, rat_to_json, run_verify_suite, scan_defect_grid,
     trace_real_root_curve,
@@ -456,6 +457,36 @@ def test_segment_intersections_on_the_petal_curve():
     assert len(trace.self_intersections) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+                min_size=1, max_size=60),
+       st.sampled_from([0.125, 0.625, 1.0, 2.5]), st.integers(0, 10 ** 6))
+def test_any_within_is_the_full_scan(xy, r, seed):
+    # points on the 1/8 grid, so that p + r, p - i r and, for r = 5/8 or
+    # 5/2, p + (3 + 4i) r/5 lie exactly at distance r from p
+    pts = np.array([complex(x, y) / 8 for x, y in xy])
+    rng = np.random.default_rng(seed)
+    on_circle = np.concatenate([pts + r, pts - r, pts + 1j * r, pts - 1j * r,
+                                pts + (3 + 4j) * (r / 5), pts + r * (1 - 1e-15),
+                                pts + r * (1 + 1e-15)])
+    # corners of the query cells, which have side 1.001 r here, and points
+    # inside the cells off their edges
+    cell = 1.001 * r
+    m = np.arange(-2, 12)
+    edges = (pts.real.min() + m * cell)[:, None] + 1j * (pts.imag.min() + m * cell)
+    edges = np.concatenate([edges.ravel(), edges.ravel() + 0.37 * cell])
+    # off the points' bounding box, near and far
+    lo, hi = pts.min(), pts.max()
+    outside = np.concatenate([
+        lo - r * rng.uniform(0, 3, 20) * (1 + 1j), hi + r * rng.uniform(0, 3, 20) * (1 + 1j),
+        rng.uniform(-1e3, 1e3, 10) + 1j * rng.uniform(-1e3, 1e3, 10)])
+    ws = np.concatenate([on_circle, edges, outside])
+    rs = np.full(len(ws), r)
+    rs[len(on_circle):] *= rng.uniform(0.5, 1.0, len(ws) - len(on_circle))
+    brute = np.array([np.min(np.abs(pts - w)) < rq for w, rq in zip(ws, rs)])
+    assert np.array_equal(_any_within(pts, ws, rs), brute)
+
+
 def test_trace_one_pole_is_one_clean_loop():
     trace = trace_real_root_curve(one_pole_model(), halfwidth=60, n=1201)
     # one loop: no gap between consecutive samples stands out
@@ -566,9 +597,12 @@ def serpentine(ny, nx):
     return curve
 
 
+RANDOM_CURVES = [np.random.default_rng(seed).random((23 + seed, 41 - seed))
+                 < 0.2 + 0.02 * seed for seed in range(20)]
+
+
 @pytest.mark.parametrize("curve", [
-    *(np.random.default_rng(seed).random((23 + seed, 41 - seed)) < 0.2 + 0.02 * seed
-      for seed in range(20)),
+    *RANDOM_CURVES,
     serpentine(41, 37),
     ~serpentine(41, 37),
     np.pad(~serpentine(40, 36), ((1, 0), (1, 0)), constant_values=True),
@@ -577,6 +611,38 @@ def serpentine(ny, nx):
 def test_run_labels_are_the_flood_fill(curve):
     assert curve.any() and not curve.all()
     assert np.array_equal(_label_runs(~curve), reference_labels(curve))
+
+
+def brute_band_distance(curve):
+    jj, ii = np.nonzero(curve)
+    gj, gi = np.indices(curve.shape)
+    d = np.abs(gj[..., None] - jj) + np.abs(gi[..., None] - ii)
+    return np.min(d.astype(float), axis=-1, initial=np.inf)
+
+
+@pytest.mark.parametrize("curve", RANDOM_CURVES,
+                         ids=[f"random-{seed}" for seed in range(20)])
+def test_band_distance_is_the_erosion_depth(curve):
+    dist = _band_distance(curve)
+    assert np.array_equal(dist, brute_band_distance(curve))
+    # erode the free cells by the 4-neighbour cross, cells off the array
+    # counting as free: a free cell at distance d survives d - 1 erosions
+    free = ~curve
+    survived = np.zeros(curve.shape, dtype=int)
+    for _ in range(max(curve.shape)):
+        p = np.pad(free, 1, constant_values=True)
+        free = free & p[:-2, 1:-1] & p[2:, 1:-1] & p[1:-1, :-2] & p[1:-1, 2:]
+        survived += free
+    assert not free.any()
+    assert np.array_equal(survived[~curve], dist[~curve] - 1)
+
+
+def test_band_distance_far_from_a_corner_and_without_a_band():
+    corner = np.zeros((30, 20), dtype=bool)
+    corner[0, 0] = True
+    assert np.array_equal(_band_distance(corner), brute_band_distance(corner))
+    assert _band_distance(corner)[-1, -1] == 29 + 19
+    assert np.isinf(_band_distance(np.zeros((4, 5), dtype=bool))).all()
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +699,89 @@ def test_figure_self_intersections(figure_run):
     assert len(pts) == 3
     for p, e in zip(pts, expected):
         assert abs(p - e) < 2e-3
+
+
+def test_figure_defect_is_constant_on_deep_cells(figure_run):
+    # every cell that survives two erosions of the cells off the curve band
+    # has its component's defect, so the deepest cell is a sound probe
+    report, _, cmap = figure_run
+    model, _ = petal_figure_model()
+    deep = _band_distance(cmap.labels < 0) >= 3
+    j, i = np.nonzero(deep)
+    xs = np.linspace(cmap.bounds[0], cmap.bounds[1], cmap.nx)
+    ys = np.linspace(cmap.bounds[2], cmap.bounds[3], cmap.ny)
+    got = pencil_defects(model, 1.0 / (xs[i] + 1j * ys[j]))
+    want = [report["components"][str(lab)]["defect"] for lab in cmap.labels[j, i]]
+    assert np.array_equal(got, want)
+    assert len(set(cmap.labels[deep].tolist())) == 5
+
+
+def test_figure_probes_are_the_deepest_cells(monkeypatch):
+    calls = []
+
+    def spy(model, alphas):
+        calls.append(np.array(alphas))
+        return pencil_defects(model, alphas)
+
+    monkeypatch.setattr(scancli, "pencil_defects", spy)
+    report, _, cmap = figure2_pipeline()
+    dist = _band_distance(cmap.labels < 0)
+    xs = np.linspace(cmap.bounds[0], cmap.bounds[1], cmap.nx)
+    ys = np.linspace(cmap.bounds[2], cmap.bounds[3], cmap.ny)
+    want = []
+    for lab in range(cmap.labels.max() + 1):
+        cells = np.argwhere(cmap.labels == lab)          # row-major order
+        j, i = cells[np.argmax(dist[cells[:, 0], cells[:, 1]])]
+        want.append(1.0 / (xs[i] + 1j * ys[j]))
+        assert report["components"][str(lab)]["cells"] == len(cells)
+    assert np.array_equal(calls[0], want)
+
+
+def reference_crossing_sides(trace, seed):
+    """The crossing samples of `figure2_pipeline` drawn one at a time, each
+    side checked by a scan of the whole curve: the reference of its sized
+    draw and grid radius query.  Returns (t, wa, wb) per kept sample."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    pts, ts = trace.points, trace.ts
+    tries = 0
+    while len(sides) < FIG_CROSSINGS and tries < 20 * FIG_CROSSINGS:
+        tries += 1
+        i = int(rng.integers(1, len(ts) - 2))
+        tangent = pts[i + 1] - pts[i - 1]
+        if abs(tangent) < 1e-12 or abs(pts[i]) < 0.5:
+            continue
+        normal = 1j * tangent / abs(tangent)
+        eps = 0.02 * (1 + abs(pts[i]))
+        wa, wb = pts[i] + eps * normal, pts[i] - eps * normal
+        if np.min(np.abs(pts - wa)) < 0.5 * eps or np.min(np.abs(pts - wb)) < 0.5 * eps:
+            continue
+        sides.append((ts[i], wa, wb))
+    return sides
+
+
+@pytest.mark.parametrize("seed", [7, 11, 123, 0, 1, 2, 99, 2024])
+def test_figure_crossings_are_the_scalar_samples(figure_run, seed):
+    _, trace, _ = figure_run
+    model, _ = petal_figure_model()
+    report, _, _ = figure2_pipeline(rng_seed=seed)
+    sides = reference_crossing_sides(trace, seed)
+    ws = np.array([(wa, wb) for _, wa, wb in sides])
+    defects = pencil_defects(model, 1.0 / ws.ravel()).reshape(-1, 2)
+    assert report["crossings"] == [{"t": float(t), "defects": [int(da), int(db)]}
+                                   for (t, _, _), (da, db) in zip(sides, defects)]
+    assert len(sides) == FIG_CROSSINGS
+
+
+@pytest.mark.parametrize("seed", [7, 11, 123])
+def test_one_sized_draw_is_the_scalar_draws(figure_run, seed):
+    # the crossing sampler draws all its indices in one call
+    _, trace, _ = figure_run
+    for high in (len(trace.ts) - 2, 3, 2 ** 31 + 5):
+        sized = np.random.default_rng(seed).integers(1, high, size=20 * FIG_CROSSINGS)
+        rng = np.random.default_rng(seed)
+        assert sized.tolist() == [int(rng.integers(1, high))
+                                  for _ in range(20 * FIG_CROSSINGS)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ Routes to the defect number dim S-perp:
   defect is N - P - M - M0 (pole count of psi minus the roots of D_plus
   below and on the axis that neither sit at a data pole nor cancel against
   a zero of phibar, minus degenerate data poles).  For the family
-  (phi, alpha psi) the roots are the eigenvalues of one monic pencil, and
-  one classification (`_classify`) counts one model (`defect_hardy_plus`)
+  (phi, alpha psi) the roots are the eigenvalues of one monic pencil
+  (`alpha_pencil`, the one reader of psi's poles and residues), and one
+  classification (`_classify`) counts one model (`defect_hardy_plus`)
   and any number of alphas (`pencil_defects`) alike;
 * the Toeplitz route for data in the lower Hardy class: the defect is the
   number of lower-half-plane zeros of the shifted symbol a - mu_alpha,
@@ -39,11 +40,11 @@ from .hardy import (
     ENDPOINT_TOL, PiecewiseFun, _shaped, boundary_value, cauchy_transform_num,
     factorize_rational, piecewise_product, quad_gk,
 )
-from .friedrichs import FriedrichsModel
+from .friedrichs import _D_BAND, FriedrichsModel
 
 __all__ = [
     "DefectReport", "JumpReport", "PiecewiseModel", "RankCheck",
-    "SpectrumMembership", "DisjointReport", "SymbolCurve",
+    "SpectrumMembership", "DisjointReport", "SymbolCurve", "AlphaPencil",
     "continuation_terms", "alpha_pencil", "pencil_roots", "pencil_defects",
     "defect_hardy_plus", "sperp_basis", "sperp_residual",
     "toeplitz_defect", "toeplitz_sperp_basis", "spectrum_T_membership",
@@ -60,7 +61,7 @@ _RESIDUE_CUT = 1e-13      # psi residues at or below this are dropped
 _CURVE_HALFWIDTH, _CURVE_N = 60.0, 4001    # spectrum_T_membership's sampled a(R)
 _AT_INFINITY_TOL = 1e-8   # relative distance of mu to the symbol's value at infinity
 _DISJOINT_N, _DISJOINT_TOL = 200, 1e-6      # samples per psi interval; |v| taken as 0
-_ON_CURVE_TOL = 1e-6      # SymbolCurve.membership: relative distance to the curve
+_ON_CURVE_TOL = 1e-6      # relative distance to a symbol curve taken as on it
 # rounding of the computed jump of M (mb_jump): this times the size of the
 # terms summed into M^{-1}, over |M^{-1}(k + i0) M^{-1}(k - i0)|
 _JUMP_ROUND = 8 * np.finfo(float).eps
@@ -191,33 +192,30 @@ def _rat_deriv_at(f, z):
     return (npv * dv - nv * dpv) / (dv * dv)
 
 
-def _psi_pole_data(psi, cut=_RESIDUE_CUT):
-    terms, _ = partial_fractions(psi)
-    if any(k > 1 for _, k, _ in terms):
-        raise ValueError("psi must have simple poles only")
-    return [(z, c) for z, k, c in terms if abs(c) > cut]
+@dataclass(frozen=True)
+class AlphaPencil:
+    """The family (phi, alpha psi) as `alpha_pencil` reads it; P, Q ascending."""
 
+    zs: np.ndarray            # psi's poles with a nonzero residue
+    cs: np.ndarray            # their residues c_k
+    a: np.ndarray             # a_k = c_k phibar(z_k)
+    P: np.ndarray             # prod_k (x - z_k)
+    Q: np.ndarray             # sum_k a_k prod_{j != k} (x - z_j)
 
-def _hardy_plus_poles(model):
-    """The psi pole data of a model that the upper-Hardy route accepts:
-    every pole with a nonzero residue, since the residue cut applies to
-    alpha c_k and so is made per alpha."""
-    _require_halfplane(model.phi, "LOWER", "phi")
-    _require_halfplane(model.psi, "LOWER", "psi")
-    pole_data = _psi_pole_data(model.psi, 0.0)
-    zs = [z for z, _ in pole_data]
-    if len(set(np.round(np.array(zs, dtype=complex), 9))) != len(zs):
-        raise ValueError("psi poles must be distinct")
-    return pole_data
+    def terms(self):
+        """(z_k, a_k) over the poles whose residue is above the residue cut."""
+        return tuple((z, a) for z, c, a in zip(self.zs.tolist(), self.cs.tolist(),
+                                               self.a.tolist()) if abs(c) > _RESIDUE_CUT)
 
 
 def continuation_terms(model):
-    """(z_k, a_k) with a_k = c_k phibar(z_k) over the simple psi poles z_k.
+    """(z_k, a_k) with a_k = c_k phibar(z_k) over the simple psi poles z_k
+    whose residue c_k is above the residue cut (`AlphaPencil.terms`).
 
     The real-root curve of the alpha family in the 1/alpha plane is
     2 pi i xi(t), xi(t) = sum_k a_k/(z_k - t) for real t.
     """
-    return tuple((z, c * complex(model.phibar(z))) for z, c in _psi_pole_data(model.psi))
+    return alpha_pencil(model).terms()
 
 
 def d_plus(model):
@@ -227,28 +225,29 @@ def d_plus(model):
     class, D_plus(mu) = 1 + 2 pi i sum_j a_j/(mu - z_j) over the
     continuation_terms (z_j, a_j).
     """
-    out = RatFun.const(1.0)
-    for z, a in continuation_terms(model):
-        if a != 0:
-            out = out + RatFun.simple_pole(z, 2j * PI * a)
-    return out
+    return sum((RatFun.simple_pole(z, 2j * PI * a) for z, a in continuation_terms(model)
+                if a != 0), RatFun.const(1.0))
 
 
 def alpha_pencil(model):
     """The continued determinant of the family (phi, alpha psi) as a pencil.
 
-    Returns (zs, P, Q), coefficients ascending: P = prod_k (x - z_k) is monic
-    of degree N over the psi poles z_k with a nonzero residue c_k, and
-    Q = sum_k a_k prod_{j != k} (x - z_j) with a_k = c_k phibar(z_k), so
-    that d_plus of (phi, alpha psi) is (P + 2 pi i alpha Q)/P for every
-    alpha at which no |alpha c_k| is at or below the residue cut.
+    The one place that reads psi's partial fractions and phibar at psi's
+    poles.  Over the psi poles z_k with a nonzero residue c_k, and with
+    a_k = c_k phibar(z_k), d_plus of (phi, alpha psi) is (P + 2 pi i alpha Q)/P
+    for every alpha at which no |alpha c_k| is at or below the residue cut;
+    P is monic of degree N.  Raises ValueError when a psi pole is not simple.
     """
-    terms = [(z, c * complex(model.phibar(z))) for z, c in _psi_pole_data(model.psi, 0.0)]
-    zs = np.array([z for z, _ in terms], dtype=complex)
+    terms, _ = partial_fractions(model.psi)
+    if any(k > 1 for _, k, _ in terms):
+        raise ValueError("psi must have simple poles only")
+    zs = np.array([z for z, _, _ in terms], dtype=complex)
+    cs = np.array([c for _, _, c in terms], dtype=complex)
+    a = np.array([c * complex(model.phibar(z)) for z, _, c in terms], dtype=complex)
     Q = np.zeros(len(zs), dtype=complex)
-    for k, (_, a) in enumerate(terms):
-        Q += a * npp.polyfromroots(np.delete(zs, k))
-    return zs, npp.polyfromroots(zs).astype(complex), Q
+    for k, ak in enumerate(a):
+        Q += ak * npp.polyfromroots(np.delete(zs, k))
+    return AlphaPencil(zs, cs, a, npp.polyfromroots(zs).astype(complex), Q)
 
 
 def pencil_roots(pencil, alphas):
@@ -257,9 +256,8 @@ def pencil_roots(pencil, alphas):
     The numerator is monic of degree N, so its roots are the eigenvalues of
     its companion matrix; all alphas share one stacked eigvals call.
     """
-    _, P, Q = pencil
     alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
-    return companion_roots(P[:-1] + 2j * PI * alphas * Q)
+    return companion_roots(pencil.P[:-1] + 2j * PI * alphas * pencil.Q)
 
 
 def _zeros(f):
@@ -295,27 +293,28 @@ def _classify(model, alphas):
     poles, and a dead pole keeps its root next to z_k, which is EXCLUDED.
     A live pole is M0 where |phibar(z_k)| <= _PHIBAR_ZERO_TOL and the limit
     2 pi i alpha c_k phibar'(z_k)/D_k(z_k) is not 1, with D_k the continued
-    determinant without its k-th term (D_plus itself has a pole at z_k).
+    determinant without its k-th term, summed over the pencil's a_j (D_plus
+    itself has a pole at z_k).
 
     Returns (zs, roots, cls, live, m0, unit): data poles (n,), roots and
     classes (len(alphas), n), and masks (len(alphas), n) of the live, the M0
     and the degenerate-but-unit-limit data poles.
     """
-    pole_data = _hardy_plus_poles(model)
+    _require_halfplane(model.phi, "LOWER", "phi")
+    _require_halfplane(model.psi, "LOWER", "psi")
     pencil = alpha_pencil(model)
-    zs = pencil[0]
-    cs = np.array([c for _, c in pole_data], dtype=complex)
+    zs, cs = pencil.zs, pencil.cs
+    if len(set(np.round(zs, 9))) != len(zs):
+        raise ValueError("psi poles must be distinct")
     alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
     phibar = model.phibar
     roots = pencil_roots(pencil, alphas)
     cls = _root_classes(roots, zs, _zeros(phibar))
     live = np.abs(alphas * cs) > _RESIDUE_CUT
-    m0 = np.zeros(live.shape, dtype=bool)
-    unit = np.zeros(live.shape, dtype=bool)
-    pz = phibar(zs)
-    for k in np.flatnonzero(np.abs(pz) <= _PHIBAR_ZERO_TOL):
+    m0, unit = np.zeros((2, *live.shape), dtype=bool)
+    for k in np.flatnonzero(np.abs(phibar(zs)) <= _PHIBAR_ZERO_TOL):
         others = np.arange(len(zs)) != k
-        rest = (live[:, others] * (cs * pz)[others]) @ (1.0 / (zs[k] - zs[others]))
+        rest = (live[:, others] * pencil.a[others]) @ (1.0 / (zs[k] - zs[others]))
         limit = 2j * PI * alphas[:, 0] * cs[k] * _rat_deriv_at(phibar, zs[k]) \
             / (1.0 + 2j * PI * alphas[:, 0] * rest)
         off = np.abs(limit - 1.0) > _M0_LIMIT_TOL
@@ -378,14 +377,16 @@ def sperp_basis(model):
     defect's dimension.
     """
     report = defect_hardy_plus(model)
-    pole_data = _psi_pole_data(model.psi)
-    N = len(pole_data)
     if report.defect == 0:
         return []
-    dp = d_plus(model)
-    g0 = model.phibar / dp
+    pencil = alpha_pencil(model)
+    pole_data = [(z, c) for z, c in zip(pencil.zs.tolist(), pencil.cs.tolist())
+                 if abs(c) > _RESIDUE_CUT]
     zs = np.array([z for z, _ in pole_data], dtype=complex)
-    roots = np.array([r for r, m in _zeros(dp) for _ in range(m)], dtype=complex)
+    dp = d_plus(model)
+    zeros = _zeros(dp)
+    g0 = model.phibar * RatFun(dp.den, dp.num, den_roots=zeros)     # phibar/D_plus
+    roots = np.array([r for r, m in zeros for _ in range(m)], dtype=complex)
     rows, order = [], {}
     for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(model.phibar))):
         if cls in (_P, _M):
@@ -393,27 +394,22 @@ def sperp_basis(model):
             rows.append([c / (r - z) ** order[r] for z, c in pole_data])
     for z, cls in report.roots:
         if cls == "M0":
-            j = int(np.argmin([abs(z - zz) for zz, _ in pole_data]))
-            row = [0.0] * N
-            row[j] = 1.0
-            rows.append(row)
+            rows.append(np.eye(len(zs))[np.argmin(np.abs(zs - z))])
     if rows:
         A = np.array(rows, dtype=complex)
         _, s, vh = np.linalg.svd(A)
         rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
         null = vh[rank:].conj()
     else:
-        null = np.eye(N, dtype=complex)
+        null = np.eye(len(zs), dtype=complex)
     if null.shape[0] != report.defect:
         raise RuntimeError(
             f"nullspace dimension {null.shape[0]} != defect {report.defect}")
     basis = []
     for w in null:
-        hsum = RatFun.zero()
-        for (z, c), wj in zip(pole_data, w):
-            hsum = hsum + RatFun.simple_pole(z, c * wj)
-        gbar = g0 * hsum
-        g = conj_reflect(gbar)
+        hsum = sum((RatFun.simple_pole(z, c * wj) for (z, c), wj in zip(pole_data, w)),
+                   RatFun.zero())
+        g = conj_reflect(g0 * hsum)
         basis.append(g * (1.0 / l2_norm(g)))
     return basis
 
@@ -553,7 +549,7 @@ def spectrum_T_membership(a, mu):
     ts = np.linspace(-_CURVE_HALFWIDTH, _CURVE_HALFWIDTH, _CURVE_N)
     curve_dist = float(np.min(np.abs(a(ts) - mu)))
     scale = 1.0 + abs(mu)
-    near_curve = curve_dist <= 1e-6 * scale or band
+    near_curve = curve_dist <= _ON_CURVE_TOL * scale or band
     at_infinity = abs(a_inf - mu) <= _AT_INFINITY_TOL * scale
     if near_curve or at_infinity:
         # reached only in the t -> +-infinity limit, with no half-plane or
@@ -644,7 +640,7 @@ def mb_jump(model, k, tol=1e-8):
         sgn = 1.0 if side == "+" else -1.0
         ph, fh, dh = (pv + sgn * 1j * PI * fk for pv, fk in pvs)
         D = 1.0 + dh
-        if abs(D) < 1e-12:
+        if abs(D) < _D_BAND:
             raise ZeroDivisionError(f"determinant vanishes at {k}{side}i0")
         t = ph * fh / D
         return sgn * PI * 1j - t - B, PI + abs(t) + abs(B)

@@ -20,8 +20,7 @@ from .ratfun import Poly, RatFun, REAL_BAND
 from .hardy import PiecewiseFun
 from .friedrichs import (FriedrichsModel, apply_resolvent, m_function,
                          verify_identity)
-from .detect import (alpha_pencil, continuation_terms, defect_hardy_plus,
-                     pencil_defects, pencil_roots)
+from .detect import alpha_pencil, defect_hardy_plus, pencil_defects, pencil_roots
 from .recon import ReconError, ResolventOracle, recover_from_restricted_resolvent
 
 PI = np.pi
@@ -108,7 +107,11 @@ class ScanGrid:
     nx: int
     ny: int
     defects: np.ndarray     # int, -1 where unresolved
-    flags: np.ndarray       # "OK" / "UNRESOLVED"
+
+    @property
+    def flags(self):
+        """OK per cell, UNRESOLVED where the defect is below 0."""
+        return np.where(self.defects < 0, UNRESOLVED, OK).astype(object)
 
     def cell_centers(self):
         x0, x1, y0, y1 = self.bounds
@@ -163,9 +166,7 @@ def scan_defect_grid(model, grid, plane="ALPHA", conv=1.0):
         defects[live] = pencil_defects(model, alphas[live])
     except ValueError:
         pass    # a model the upper-Hardy route refuses: no cell is resolved
-    flags = np.where(defects < 0, UNRESOLVED, OK).astype(object)
-    return ScanGrid(plane, (x0, x1, y0, y1), nx, ny,
-                    defects.reshape(ny, nx), flags.reshape(ny, nx))
+    return ScanGrid(plane, (x0, x1, y0, y1), nx, ny, defects.reshape(ny, nx))
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +317,9 @@ def _segment_intersections(pts):
     return tuple(merged)
 
 
-def _certify_real_roots(model, ts, pts):
+def _certify_real_roots(pencil, ts, pts):
     """Check that at alpha = 1/w, for each curve point w = pts[k] != 0, the
-    continued determinant has a root within REAL_BAND of the real axis.
+    pencil's continued determinant has a root within REAL_BAND of the axis.
 
     The numerator p = P + 2 pi i alpha Q is monic of degree n, and
     p'/p = sum_j 1/(t - r_j) over its roots, so some root has
@@ -333,9 +334,7 @@ def _certify_real_roots(model, ts, pts):
     """
     at = np.abs(pts) >= 1e-9        # the origin is alpha = infinity
     ts, pts = ts[at], pts[at]
-    pencil = alpha_pencil(model)
-    _, P, Q = pencil
-    c = P[:-1] + 2j * PI * (1.0 / pts)[:, None] * Q
+    c = pencil.P[:-1] + 2j * PI * (1.0 / pts)[:, None] * pencil.Q
     n = c.shape[1]
     p, dp = np.ones(len(ts), dtype=complex), np.zeros(len(ts), dtype=complex)
     ap, adp = np.ones(len(ts)), np.zeros(len(ts))
@@ -363,14 +362,16 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001):
     """Trace the 1/alpha-plane curve along which the continued determinant
     acquires a real root.
 
-    The curve is 2 pi i xi(t) for t real, xi(t) = sum a_k/(z_k - t); the grid
-    is refined where consecutive points jump, and every kept sample is
-    certified (`_certify_real_roots`): a Newton inclusion bound at its t, or
-    failing that the eigenvalues, must put a root of the determinant
-    numerator at the matching alpha within REAL_BAND of the axis, or
-    RuntimeError is raised.
+    The curve is 2 pi i xi(t) for t real, xi(t) = sum a_k/(z_k - t) over
+    the terms of one `alpha_pencil`; the grid is refined where consecutive
+    points jump, and every kept sample is certified on that pencil
+    (`_certify_real_roots`): a Newton inclusion bound at its t, or failing
+    that the eigenvalues, must put a root of the determinant numerator at
+    the matching alpha within REAL_BAND of the axis, or RuntimeError is
+    raised.
     """
-    data = continuation_terms(model)
+    pencil = alpha_pencil(model)
+    data = pencil.terms()
     ts = np.linspace(-halfwidth, halfwidth, n)
     for _ in range(_REFINE_ROUNDS):
         pts = 2j * PI * _xi_eval(data, ts)
@@ -382,7 +383,7 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001):
         extra = ts[big, None] + np.arange(1, 5) * ((ts[big + 1] - ts[big]) / 5)[:, None]
         ts = np.sort(np.concatenate([ts, extra.ravel()]))
     pts = 2j * PI * _xi_eval(data, ts)
-    _certify_real_roots(model, ts, pts)
+    _certify_real_roots(pencil, ts, pts)
     return CurveTrace(ts, pts, _segment_intersections(pts))
 
 

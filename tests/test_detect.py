@@ -13,7 +13,7 @@ from fmlab.ratfun import (
 )
 from fmlab.hardy import PiecewiseFun, boundary_value, piecewise_product
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, solution_operator, tilde_model
-from fmlab import detect, hardy
+from fmlab import detect, hardy, ratfun
 from fmlab.detect import (
     _d_at, PiecewiseModel, alpha_pencil, cauchy_kernel_model, d_plus,
     defect_hardy_plus, disjoint_support_classify, jump_rank_check, mb_jump,
@@ -213,6 +213,51 @@ def test_dead_psi_pole_counts_at_every_scale():
     assert want[1] != want[2]
     rep = defect_hardy_plus(mod)
     assert rep.N == 1 and [c for z, c in rep.roots if abs(z + 2j) < 1e-8] == ["EXCLUDED"]
+
+
+def spy_calls(monkeypatch, name, *modules):
+    """Patch `name` in each module with one wrapper that records its calls."""
+    calls, real = [], getattr(modules[0], name)
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_each_count_reads_psi_once(monkeypatch):
+    # alpha_pencil is the one reader of psi's partial fractions
+    calls = spy_calls(monkeypatch, "partial_fractions", detect)
+    model = petal_figure_model()[0]
+    defect_hardy_plus(model)
+    assert len(calls) == 1
+    detect.pencil_defects(model, [1.0, 0.5j, -2.0])
+    assert len(calls) == 2
+
+
+def test_sperp_basis_finds_d_plus_zeros_once(monkeypatch):
+    # one root finding gives the zeros of D_plus and the poles of 1/D_plus
+    calls = spy_calls(monkeypatch, "poly_roots", detect, ratfun)
+    (g,) = sperp_basis(one_pole_model(2j / PI))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model, dead", [
+    (petal_figure_model()[0], 0),
+    (FriedrichsModel(PHI_ONE, pole_sum([-1j, -2j, -1 - 0.5j], [1.0, 1e-14, 0.3j]), 0.0), 1),
+], ids=["petal", "dead-residue"])
+def test_continuation_terms_are_the_pencil_data(model, dead):
+    # the curve's a_k and the pencil's are one computation: the same bits,
+    # less the poles whose residue is at or below the cut
+    pencil = alpha_pencil(model)
+    live = np.array([abs(c) > detect._RESIDUE_CUT for c in pencil.cs.tolist()])
+    terms = detect.continuation_terms(model)
+    assert len(terms) == len(pencil.zs) - dead
+    assert np.array([z for z, _ in terms]).tobytes() == pencil.zs[live].tobytes()
+    assert np.array([a for _, a in terms]).tobytes() == pencil.a[live].tobytes()
 
 
 def test_root_classes_one_rule():

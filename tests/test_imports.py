@@ -2,8 +2,9 @@
 __all__; every module-level private name is used somewhere in src/fmlab;
 every method and property of a class in src/fmlab is referenced from src,
 tests or perfbench; adaptive quadrature is imported only where piecewise
-data is integrated, and half-plane splits of rational functions are taken
-only in ratfun and hardy."""
+data is integrated, half-plane splits of rational functions are taken
+only in ratfun and hardy, and detect reads psi's partial fractions only in
+alpha_pencil."""
 import ast
 import pathlib
 
@@ -119,6 +120,25 @@ def test_half_plane_splits_live_in_ratfun_and_hardy():
                         "b": "g = f.principal_part('lower')(lam)\n",
                         "c": "from .hardy import boundary_value\nf.principal_part\n"}) \
         == ["a", "b"]
+
+
+def referencing_defs(source, name):
+    """Module-level functions and classes of source whose bodies refer to
+    name, as a plain name or an attribute; "<module>" stands for a reference
+    outside them.  Imports do not count."""
+    return sorted({stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                   else "<module>"
+                   for stmt in ast.parse(source).body for n in ast.walk(stmt)
+                   if (isinstance(n, ast.Name) and n.id == name)
+                   or (isinstance(n, ast.Attribute) and n.attr == name)})
+
+
+def test_partial_fractions_are_read_in_alpha_pencil_only():
+    source = (SRC / "detect.py").read_text(encoding="utf-8")
+    assert referencing_defs(source, "partial_fractions") == ["alpha_pencil"]
+    assert referencing_defs("from r import pf\nread = pf\n\n\ndef f():\n    return r.pf(1)\n"
+                            "\n\nclass C:\n    def g(self):\n        pf(2)\n", "pf") \
+        == ["<module>", "C", "f"]
 
 
 def test_private_name_scan_sees_uses_across_modules():

@@ -12,7 +12,7 @@ from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
 from fmlab.detect import (alpha_pencil, continuation_terms, d_plus,
                           defect_hardy_plus, pencil_defects, pencil_roots)
-from fmlab import scancli
+from fmlab import detect, scancli
 from fmlab.scancli import (
     FIG_CROSSINGS, ComponentMap, CurveTrace, ScanGrid, _any_within,
     _band_distance, _certify_real_roots, _label_runs, _segment_intersections,
@@ -377,7 +377,7 @@ def test_certificate_takes_no_eigenvalues_on_the_petal_curve(monkeypatch, figure
 
     _, trace, _ = figure_run
     monkeypatch.setattr(scancli, "pencil_roots", refuse)
-    _certify_real_roots(petal_figure_model()[0], trace.ts, trace.points)
+    _certify_real_roots(alpha_pencil(petal_figure_model()[0]), trace.ts, trace.points)
 
 
 def test_certificate_falls_back_to_eigenvalues(monkeypatch):
@@ -392,7 +392,7 @@ def test_certificate_falls_back_to_eigenvalues(monkeypatch):
         return pencil_roots(pencil, alphas)
 
     monkeypatch.setattr(scancli, "pencil_roots", spy)
-    _certify_real_roots(model, trace.ts + 0.01, trace.points)
+    _certify_real_roots(alpha_pencil(model), trace.ts + 0.01, trace.points)
     assert seen == [int(np.sum(np.abs(trace.points) >= 1e-9))]
 
 
@@ -400,7 +400,7 @@ def test_certificate_refuses_points_off_the_curve():
     model, _ = petal_figure_model()
     trace = trace_real_root_curve(model, halfwidth=40, n=801)
     with pytest.raises(RuntimeError, match="real-root certification"):
-        _certify_real_roots(model, trace.ts, trace.points + 0.05j)
+        _certify_real_roots(alpha_pencil(model), trace.ts, trace.points + 0.05j)
 
 
 def all_pairs_crossings(pts):
@@ -735,6 +735,20 @@ def test_figure_probes_are_the_deepest_cells(monkeypatch):
         want.append(1.0 / (xs[i] + 1j * ys[j]))
         assert report["components"][str(lab)]["cells"] == len(cells)
     assert np.array_equal(calls[0], want)
+
+
+def test_figure_reads_psi_once_per_pencil(monkeypatch):
+    # the curve and its certificate share one pencil, and each of the two
+    # pencil_defects calls (probes, crossing sides) reads psi once
+    read, calls = detect.partial_fractions, []
+
+    def spy(f):
+        calls.append(f)
+        return read(f)
+
+    monkeypatch.setattr(detect, "partial_fractions", spy)
+    figure2_pipeline()
+    assert len(calls) == 3
 
 
 def reference_crossing_sides(trace, seed):

@@ -34,7 +34,7 @@ import numpy.polynomial.polynomial as npp
 
 from .ratfun import (
     Poly, RatFun, REAL_BAND, _CLUSTER,
-    companion_roots, conj_reflect, l2_norm, partial_fractions, poly_roots,
+    companion_roots, conj_reflect, l2_norm, partial_fractions, poly_from_roots, poly_roots,
 )
 from .hardy import (
     ENDPOINT_TOL, PiecewiseFun, _shaped, boundary_value, cauchy_transform_num,
@@ -187,9 +187,7 @@ def _require_halfplane(f, where, name):
 def _rat_deriv_at(f, z):
     n, d = f.num, f.den
     nv, dv = n(z), d(z)
-    npv = n.deriv()(z) if n.degree >= 1 else 0j
-    dpv = d.deriv()(z) if d.degree >= 1 else 0j
-    return (npv * dv - nv * dpv) / (dv * dv)
+    return (n.deriv()(z) * dv - nv * d.deriv()(z)) / (dv * dv)
 
 
 @dataclass(frozen=True)
@@ -202,20 +200,27 @@ class AlphaPencil:
     P: np.ndarray             # prod_k (x - z_k)
     Q: np.ndarray             # sum_k a_k prod_{j != k} (x - z_j)
 
-    def terms(self):
-        """(z_k, a_k) over the poles whose residue is above the residue cut."""
-        return tuple((z, a) for z, c, a in zip(self.zs.tolist(), self.cs.tolist(),
-                                               self.a.tolist()) if abs(c) > _RESIDUE_CUT)
+    def live(self):
+        """(z_k, c_k, a_k) over the poles whose residue is above the residue cut."""
+        return [(z, c, a) for z, c, a in zip(self.zs.tolist(), self.cs.tolist(),
+                                             self.a.tolist()) if abs(c) > _RESIDUE_CUT]
+
+    def d_plus(self):
+        """1 + 2 pi i sum_k a_k/(mu - z_k) over the live poles."""
+        out = RatFun.const(1.0)
+        for z, _, a in self.live():
+            if a != 0:
+                out = out + RatFun.simple_pole(z, 2j * PI * a)
+        return out
 
 
 def continuation_terms(model):
-    """(z_k, a_k) with a_k = c_k phibar(z_k) over the simple psi poles z_k
-    whose residue c_k is above the residue cut (`AlphaPencil.terms`).
+    """(z_k, a_k) with a_k = c_k phibar(z_k) over the live psi poles z_k.
 
     The real-root curve of the alpha family in the 1/alpha plane is
     2 pi i xi(t), xi(t) = sum_k a_k/(z_k - t) for real t.
     """
-    return alpha_pencil(model).terms()
+    return tuple((z, a) for z, _, a in alpha_pencil(model).live())
 
 
 def d_plus(model):
@@ -225,8 +230,7 @@ def d_plus(model):
     class, D_plus(mu) = 1 + 2 pi i sum_j a_j/(mu - z_j) over the
     continuation_terms (z_j, a_j).
     """
-    return sum((RatFun.simple_pole(z, 2j * PI * a) for z, a in continuation_terms(model)
-                if a != 0), RatFun.const(1.0))
+    return alpha_pencil(model).d_plus()
 
 
 def alpha_pencil(model):
@@ -311,7 +315,8 @@ def _classify(model, alphas):
     roots = pencil_roots(pencil, alphas)
     cls = _root_classes(roots, zs, _zeros(phibar))
     live = np.abs(alphas * cs) > _RESIDUE_CUT
-    m0, unit = np.zeros((2, *live.shape), dtype=bool)
+    m0 = np.zeros(live.shape, dtype=bool)
+    unit = np.zeros(live.shape, dtype=bool)
     for k in np.flatnonzero(np.abs(phibar(zs)) <= _PHIBAR_ZERO_TOL):
         others = np.arange(len(zs)) != k
         rest = (live[:, others] * pencil.a[others]) @ (1.0 / (zs[k] - zs[others]))
@@ -380,10 +385,10 @@ def sperp_basis(model):
     if report.defect == 0:
         return []
     pencil = alpha_pencil(model)
-    pole_data = [(z, c) for z, c in zip(pencil.zs.tolist(), pencil.cs.tolist())
-                 if abs(c) > _RESIDUE_CUT]
-    zs = np.array([z for z, _ in pole_data], dtype=complex)
-    dp = d_plus(model)
+    pole_data = pencil.live()
+    N = len(pole_data)
+    zs = np.array([z for z, _, _ in pole_data], dtype=complex)
+    dp = pencil.d_plus()
     zeros = _zeros(dp)
     g0 = model.phibar * RatFun(dp.den, dp.num, den_roots=zeros)     # phibar/D_plus
     roots = np.array([r for r, m in zeros for _ in range(m)], dtype=complex)
@@ -391,25 +396,30 @@ def sperp_basis(model):
     for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(model.phibar))):
         if cls in (_P, _M):
             order[r] = order.get(r, 0) + 1
-            rows.append([c / (r - z) ** order[r] for z, c in pole_data])
+            rows.append([c / (r - z) ** order[r] for z, c, _ in pole_data])
     for z, cls in report.roots:
         if cls == "M0":
-            rows.append(np.eye(len(zs))[np.argmin(np.abs(zs - z))])
+            j = int(np.argmin([abs(z - zz) for zz, _, _ in pole_data]))
+            row = [0.0] * N
+            row[j] = 1.0
+            rows.append(row)
     if rows:
         A = np.array(rows, dtype=complex)
         _, s, vh = np.linalg.svd(A)
         rank = int(np.sum(s > 1e-10 * max(1.0, s[0])))
         null = vh[rank:].conj()
     else:
-        null = np.eye(len(zs), dtype=complex)
+        null = np.eye(N, dtype=complex)
     if null.shape[0] != report.defect:
         raise RuntimeError(
             f"nullspace dimension {null.shape[0]} != defect {report.defect}")
     basis = []
     for w in null:
-        hsum = sum((RatFun.simple_pole(z, c * wj) for (z, c), wj in zip(pole_data, w)),
-                   RatFun.zero())
-        g = conj_reflect(g0 * hsum)
+        hsum = RatFun.zero()
+        for (z, c, _), wj in zip(pole_data, w):
+            hsum = hsum + RatFun.simple_pole(z, c * wj)
+        gbar = g0 * hsum
+        g = conj_reflect(gbar)
         basis.append(g * (1.0 / l2_norm(g)))
     return basis
 
@@ -495,16 +505,10 @@ def toeplitz_sperp_basis(model, alpha):
     out = []
     for w, mult in fac.blaschke.zeros:
         for m in range(1, mult + 1):
-            g = model.phi * _recip_power(np.conj(w), m)
+            z0 = complex(np.conj(w))
+            g = model.phi * RatFun(Poly([1.0]), poly_from_roots([z0] * m), den_roots=[(z0, m)])
             out.append(g * (1.0 / l2_norm(g)))
     return out
-
-
-def _recip_power(z0, m):
-    den = Poly([1.0])
-    for _ in range(m):
-        den = den * Poly([-z0, 1.0])
-    return RatFun(Poly([1.0]), den, den_roots=[(complex(z0), m)])
 
 
 def cauchy_kernel_model(model, alpha):
@@ -539,10 +543,7 @@ def spectrum_T_membership(a, mu):
     diff = a - mu
     if diff.is_zero or diff.num.is_zero:
         raise ValueError("mu equals the symbol identically")
-    if diff.num.degree < 1:
-        roots = []
-    else:
-        roots = poly_roots(diff.num)
+    roots = _zeros(diff)
     lower = [(z, m) for z, m in roots if z.imag < -REAL_BAND]
     band = [(z, m) for z, m in roots if abs(z.imag) <= REAL_BAND]
     count = sum(m for _, m in lower)

@@ -121,13 +121,14 @@ class ScanGrid:
 
     def write_csv(self, path):
         xs, ys = self.cell_centers()
+        flags = self.flags
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("re,im,defect,flag\n")
             for j, y in enumerate(ys):
                 for i, x in enumerate(xs):
                     d = self.defects[j, i]
                     fh.write(f"{float(x)!r},{float(y)!r},"
-                             f"{'' if d < 0 else d},{self.flags[j, i]}\n")
+                             f"{'' if d < 0 else d},{flags[j, i]}\n")
 
 
 def _alpha_of(plane, w, conv):
@@ -371,7 +372,7 @@ def trace_real_root_curve(model, halfwidth=60.0, n=2001):
     raised.
     """
     pencil = alpha_pencil(model)
-    data = pencil.terms()
+    data = [(z, a) for z, _, a in pencil.live()]
     ts = np.linspace(-halfwidth, halfwidth, n)
     for _ in range(_REFINE_ROUNDS):
         pts = 2j * PI * _xi_eval(data, ts)

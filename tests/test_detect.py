@@ -239,10 +239,13 @@ def test_each_count_reads_psi_once(monkeypatch):
 
 
 def test_sperp_basis_finds_d_plus_zeros_once(monkeypatch):
-    # one root finding gives the zeros of D_plus and the poles of 1/D_plus
+    # one root finding gives the zeros of D_plus and the poles of 1/D_plus,
+    # and D_plus is built from the basis's own pencil: psi is read by the
+    # count and by that pencil only
     calls = spy_calls(monkeypatch, "poly_roots", detect, ratfun)
+    reads = spy_calls(monkeypatch, "partial_fractions", detect)
     (g,) = sperp_basis(one_pole_model(2j / PI))
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(reads) == 2
 
 
 @pytest.mark.parametrize("model, dead", [

@@ -136,6 +136,25 @@ def test_scan_csv_format(tmp_path):
     assert flag in ("OK", "UNRESOLVED")
 
 
+def test_scan_csv_derives_the_flags_once(monkeypatch, tmp_path):
+    # flags is rebuilt from defects on each read: the writer reads it once,
+    # not once per cell
+    reads, derive = [], ScanGrid.flags.fget
+
+    def counted(grid):
+        reads.append(grid)
+        return derive(grid)
+
+    sg = scan_defect_grid(petal_scan_model(), (-2, 2, -2, 2, 41, 31), plane="MU")
+    monkeypatch.setattr(ScanGrid, "flags", property(counted))
+    path = tmp_path / "s.csv"
+    sg.write_csv(path)
+    assert len(reads) == 1
+    lines = path.read_bytes().decode().strip().split("\n")[1:]
+    assert [ln.rsplit(",", 1)[1] for ln in lines] == derive(sg).ravel().tolist()
+    assert "UNRESOLVED" in derive(sg).ravel().tolist()
+
+
 def test_scan_repeated_run_gives_same_bytes(tmp_path):
     model = petal_scan_model()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -215,7 +215,7 @@ class AlphaPencil:
 
 
 def continuation_terms(model):
-    """(z_k, a_k) with a_k = c_k phibar(z_k) over the live psi poles z_k.
+    """(z_k, a_k) with a_k = c_k phibar(z_k) over the poles of `AlphaPencil.live`.
 
     The real-root curve of the alpha family in the 1/alpha plane is
     2 pi i xi(t), xi(t) = sum_k a_k/(z_k - t) for real t.

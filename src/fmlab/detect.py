@@ -9,11 +9,11 @@ Routes to the defect number dim S-perp:
   a zero of phibar, minus degenerate data poles).  For the family
   (phi, alpha psi) the roots are the eigenvalues of one monic pencil
   (`alpha_pencil`, the one reader of psi's poles and residues), and one
-  classification (`_classify`) counts one model (`defect_hardy_plus`)
-  and any number of alphas (`pencil_defects`) alike;
+  classification (`_classify`) counts one model (`defect_hardy_plus`),
+  any number of alphas (`pencil_defects`) and `sperp_basis` alike;
 * the Toeplitz route for data in the lower Hardy class: the defect is the
-  number of lower-half-plane zeros of the shifted symbol a - mu_alpha,
-  i.e. the Blaschke degree of its inner factor;
+  number of lower-half-plane zeros of the shifted symbol a - mu_alpha
+  (split once, by `_shifted_zeros`), the Blaschke degree of its inner factor;
 * disjoint-support classification for piecewise data, where detectability
   is decided by whether 1 - psi(k) phibarhat(k - i0) vanishes on a set of
   positive measure.
@@ -38,7 +38,7 @@ from .ratfun import (
 )
 from .hardy import (
     ENDPOINT_TOL, PiecewiseFun, _shaped, boundary_value, cauchy_transform_num,
-    factorize_rational, piecewise_product, quad_gk,
+    piecewise_product, quad_gk,
 )
 from .friedrichs import _D_BAND, FriedrichsModel
 
@@ -300,9 +300,9 @@ def _classify(model, alphas):
     determinant without its k-th term, summed over the pencil's a_j (D_plus
     itself has a pole at z_k).
 
-    Returns (zs, roots, cls, live, m0, unit): data poles (n,), roots and
-    classes (len(alphas), n), and masks (len(alphas), n) of the live, the M0
-    and the degenerate-but-unit-limit data poles.
+    Returns (pencil, zeros, roots, cls, live, m0, unit, defect): the pencil,
+    phibar's zeros (z, m), roots, classes and masks of the live, the M0 and
+    the degenerate-but-unit-limit data poles (len(alphas), n), and N - P - M - M0.
     """
     _require_halfplane(model.phi, "LOWER", "phi")
     _require_halfplane(model.psi, "LOWER", "psi")
@@ -313,7 +313,8 @@ def _classify(model, alphas):
     alphas = np.asarray(alphas, dtype=complex).reshape(-1, 1)
     phibar = model.phibar
     roots = pencil_roots(pencil, alphas)
-    cls = _root_classes(roots, zs, _zeros(phibar))
+    zeros = _zeros(phibar)
+    cls = _root_classes(roots, zs, zeros)
     live = np.abs(alphas * cs) > _RESIDUE_CUT
     m0 = np.zeros(live.shape, dtype=bool)
     unit = np.zeros(live.shape, dtype=bool)
@@ -325,7 +326,8 @@ def _classify(model, alphas):
         off = np.abs(limit - 1.0) > _M0_LIMIT_TOL
         m0[:, k] = live[:, k] & off
         unit[:, k] = live[:, k] & ~off
-    return zs, roots, cls, live, m0, unit
+    defect = live.sum(1) - np.sum((cls == _P) | (cls == _M), axis=1) - m0.sum(1)
+    return pencil, zeros, roots, cls, live, m0, unit, defect
 
 
 def pencil_defects(model, alphas):
@@ -337,8 +339,7 @@ def pencil_defects(model, alphas):
     upper-Hardy route refuses: psi poles repeated or not distinct, or data
     in the wrong half-plane.
     """
-    _, _, cls, live, m0, _ = _classify(model, alphas)
-    defect = live.sum(1) - np.sum((cls == _P) | (cls == _M), axis=1) - m0.sum(1)
+    _, _, _, cls, _, _, _, defect = _classify(model, alphas)
     return np.where(np.any(cls == _M, axis=1) | (defect < 0), -1, defect)
 
 
@@ -352,14 +353,13 @@ def defect_hardy_plus(model):
     of the report are the classified roots with their class, then the M0
     data poles.
     """
-    zs, roots, cls, live, m0, unit = _classify(model, [1.0])
-    roots, cls = roots[0].tolist(), cls[0]
+    pencil, _, roots, cls, live, m0, unit, defect = _classify(model, [1.0])
+    zs, roots, cls, defect = pencil.zs, roots[0].tolist(), cls[0], int(defect[0])
     N, M0 = int(live.sum()), int(m0.sum())
     P, M = int(np.sum(cls == _P)), int(np.sum(cls == _M))
     notes = [f"continuation pole at data pole {r:.6g}"
              for r, c in zip(roots, cls) if c == _EXCLUDED]
     notes += [f"data pole {z:.6g} degenerate but unit limit" for z in zs[unit[0]]]
-    defect = N - P - M - M0
     if defect < 0:
         raise RuntimeError(f"negative defect {defect}: classification failed")
     classified = [(r, _CLASS_NAMES[c]) for r, c in zip(roots, cls)]
@@ -377,14 +377,13 @@ def sperp_basis(model):
     gbar = (phibar/D_plus) * sum_j c_j gbar(z_j)/(mu - z_j).  The poles
     are the zeros of D_plus, each repeated by its multiplicity and classed
     by `_root_classes` as in the count: the m-th P or M copy of a zero
-    gives the constraint of order m.  The count is `defect_hardy_plus`:
-    each of its M0 data poles fixes that value to 0, and the basis has its
-    defect's dimension.
+    gives the constraint of order m.  The count, the pencil, phibar's zeros
+    and the M0 data poles are one `_classify` call at alpha = 1: each M0
+    data pole fixes its value to 0, and the basis has the defect's dimension.
     """
-    report = defect_hardy_plus(model)
-    if report.defect == 0:
+    pencil, phibar_zeros, _, _, live, m0, _, (defect,) = _classify(model, [1.0])
+    if defect == 0:
         return []
-    pencil = alpha_pencil(model)
     pole_data = pencil.live()
     N = len(pole_data)
     zs = np.array([z for z, _, _ in pole_data], dtype=complex)
@@ -393,16 +392,11 @@ def sperp_basis(model):
     g0 = model.phibar * RatFun(dp.den, dp.num, den_roots=zeros)     # phibar/D_plus
     roots = np.array([r for r, m in zeros for _ in range(m)], dtype=complex)
     rows, order = [], {}
-    for r, cls in zip(roots.tolist(), _root_classes(roots, zs, _zeros(model.phibar))):
+    for r, cls in zip(roots.tolist(), _root_classes(roots, zs, phibar_zeros)):
         if cls in (_P, _M):
             order[r] = order.get(r, 0) + 1
             rows.append([c / (r - z) ** order[r] for z, c, _ in pole_data])
-    for z, cls in report.roots:
-        if cls == "M0":
-            j = int(np.argmin([abs(z - zz) for zz, _, _ in pole_data]))
-            row = [0.0] * N
-            row[j] = 1.0
-            rows.append(row)
+    rows += np.eye(N)[m0[0][live[0]]].tolist()       # the M0 rows, over the live poles
     if rows:
         A = np.array(rows, dtype=complex)
         _, s, vh = np.linalg.svd(A)
@@ -410,9 +404,8 @@ def sperp_basis(model):
         null = vh[rank:].conj()
     else:
         null = np.eye(N, dtype=complex)
-    if null.shape[0] != report.defect:
-        raise RuntimeError(
-            f"nullspace dimension {null.shape[0]} != defect {report.defect}")
+    if null.shape[0] != defect:
+        raise RuntimeError(f"nullspace dimension {null.shape[0]} != defect {defect}")
     basis = []
     for w in null:
         hsum = RatFun.zero()
@@ -473,6 +466,30 @@ def sperp_residual(model, g, mus=_MU_GRID, Bs=None):
 # Toeplitz route (lower-Hardy data)
 # ---------------------------------------------------------------------------
 
+def _shifted_zeros(a, mu):
+    """Zeros (z, m) of a - mu below the real band and in it.  Refuses a symbol
+    with a pole on or below the axis or unbounded on it, and a - mu == 0."""
+    _require_halfplane(a, "UPPER", "symbol a")
+    if a.decay_order < 0:
+        raise ValueError("symbol must be bounded on the axis")
+    diff = a - mu
+    if diff.is_zero or diff.num.is_zero:
+        raise ValueError("mu equals the symbol identically")
+    roots = _zeros(diff)
+    return ([(z, m) for z, m in roots if z.imag < -REAL_BAND],
+            [(z, m) for z, m in roots if abs(z.imag) <= REAL_BAND])
+
+
+def _toeplitz_zeros(model, alpha):
+    """mu_alpha = 1/(2 pi i alpha) and `_shifted_zeros` of a = psi phibar at it."""
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    _require_halfplane(model.phi, "UPPER", "phi")
+    mu_a = 1.0 / (2j * PI * alpha)
+    return (mu_a, *_shifted_zeros(model.psi_phibar, mu_a))
+
+
 def toeplitz_defect(model, alpha):
     """Defect via the inner factor of the shifted symbol a - mu_alpha.
 
@@ -480,30 +497,19 @@ def toeplitz_defect(model, alpha):
     axis); mu_alpha = 1/(2 pi i alpha).  The defect equals the number of
     lower-half-plane zeros of a - mu_alpha counted with multiplicity.
     """
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    _require_halfplane(model.phi, "UPPER", "phi")
-    a = model.psi_phibar
-    _require_halfplane(a, "UPPER", "symbol a")
-    mu_a = 1.0 / (2j * PI * alpha)
-    fac = factorize_rational(a - mu_a)
-    roots = [(z, "BLASCHKE") for z, _ in fac.blaschke.zeros]
-    roots += [(z, "BOUNDARY") for z, _ in fac.boundary_zeros]
-    defect = sum(m for _, m in fac.blaschke.zeros)
-    boundary = sum(m for _, m in fac.boundary_zeros)
-    return DefectReport(N=defect, P=0, M=boundary, M0=0, defect=defect,
-                        roots=tuple(roots), route="TOEPLITZ",
-                        degenerate=fac.degenerate,
+    mu_a, lower, band = _toeplitz_zeros(model, alpha)
+    roots = [(z, "BLASCHKE") for z, _ in lower] + [(z, "BOUNDARY") for z, _ in band]
+    defect = sum(m for _, m in lower)
+    return DefectReport(N=defect, P=0, M=sum(m for _, m in band), M0=0, defect=defect,
+                        roots=tuple(roots), route="TOEPLITZ", degenerate=bool(band),
                         notes=(f"mu_alpha={mu_a:.6g}",))
 
 
 def toeplitz_sperp_basis(model, alpha):
     """S-perp representatives phi/(x - conj(w))^m over the inner-factor zeros."""
-    mu_a = 1.0 / (2j * PI * complex(alpha))
-    fac = factorize_rational(model.psi_phibar - mu_a)
+    _, lower, _ = _toeplitz_zeros(model, alpha)
     out = []
-    for w, mult in fac.blaschke.zeros:
+    for w, mult in lower:
         for m in range(1, mult + 1):
             z0 = complex(np.conj(w))
             g = model.phi * RatFun(Poly([1.0]), poly_from_roots([z0] * m), den_roots=[(z0, m)])
@@ -536,22 +542,13 @@ def spectrum_T_membership(a, mu):
     the boundary curve a(R) (including its value at infinity).
     """
     mu = complex(mu)
-    _require_halfplane(a, "UPPER", "symbol a")
-    if a.decay_order < 0:
-        raise ValueError("symbol must be bounded on the axis")
-    a_inf = a.value_at_infinity
-    diff = a - mu
-    if diff.is_zero or diff.num.is_zero:
-        raise ValueError("mu equals the symbol identically")
-    roots = _zeros(diff)
-    lower = [(z, m) for z, m in roots if z.imag < -REAL_BAND]
-    band = [(z, m) for z, m in roots if abs(z.imag) <= REAL_BAND]
+    lower, band = _shifted_zeros(a, mu)
     count = sum(m for _, m in lower)
     ts = np.linspace(-_CURVE_HALFWIDTH, _CURVE_HALFWIDTH, _CURVE_N)
     curve_dist = float(np.min(np.abs(a(ts) - mu)))
     scale = 1.0 + abs(mu)
     near_curve = curve_dist <= _ON_CURVE_TOL * scale or band
-    at_infinity = abs(a_inf - mu) <= _AT_INFINITY_TOL * scale
+    at_infinity = abs(a.value_at_infinity - mu) <= _AT_INFINITY_TOL * scale
     if near_curve or at_infinity:
         # reached only in the t -> +-infinity limit, with no half-plane or
         # axis preimage: the compactification point of the symbol curve

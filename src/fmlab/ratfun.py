@@ -126,22 +126,6 @@ class Poly:
             return r
         return npp.polyval(np.asarray(x, dtype=complex), self.coeffs)
 
-    def __add__(self, other):
-        other = other if isinstance(other, Poly) else Poly([other])
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return Poly(_padded_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Poly) else Poly([other])
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return Poly(-other.coeffs)
-        return Poly(_padded_add(self.coeffs, -other.coeffs))
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly(self.coeffs * complex(other)) if not self.is_zero else self
@@ -158,16 +142,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({np.round(self.coeffs, 12).tolist()})"
-
-
-def _padded_add(a, b):
-    if a.size >= b.size:
-        out = a.astype(complex, copy=True)
-        out[:b.size] += b
-    else:
-        out = b.astype(complex, copy=True)
-        out[:a.size] += a
-    return out
 
 
 def _shift(c, z0, n):

@@ -20,7 +20,8 @@ from .ratfun import Poly, RatFun, REAL_BAND
 from .hardy import PiecewiseFun
 from .friedrichs import (FriedrichsModel, apply_resolvent, m_function,
                          verify_identity)
-from .detect import alpha_pencil, defect_hardy_plus, pencil_defects, pencil_roots
+from .detect import (alpha_pencil, cauchy_kernel_model, defect_hardy_plus,
+                     pencil_defects, pencil_roots)
 from .recon import ReconError, ResolventOracle, recover_from_restricted_resolvent
 
 PI = np.pi
@@ -816,8 +817,7 @@ def main(argv=None):
 
     if verb == "defect":
         model = _load_model(args.model)
-        scaled = FriedrichsModel(model.phi, model.psi * args.alpha, model.B)
-        rep = defect_hardy_plus(scaled)
+        rep = defect_hardy_plus(cauchy_kernel_model(model, args.alpha))
         _emit(rep.as_dict(), args.out)
         return 0
 

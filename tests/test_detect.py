@@ -240,12 +240,32 @@ def test_each_count_reads_psi_once(monkeypatch):
 
 def test_sperp_basis_finds_d_plus_zeros_once(monkeypatch):
     # one root finding gives the zeros of D_plus and the poles of 1/D_plus,
-    # and D_plus is built from the basis's own pencil: psi is read by the
-    # count and by that pencil only
+    # and D_plus is built from the pencil of the count's own classification:
+    # psi is read once
     calls = spy_calls(monkeypatch, "poly_roots", detect, ratfun)
     reads = spy_calls(monkeypatch, "partial_fractions", detect)
     (g,) = sperp_basis(one_pole_model(2j / PI))
-    assert len(calls) == 1 and len(reads) == 2
+    assert len(calls) == 1 and len(reads) == 1
+
+
+def double_root_model():
+    """The model of test_sperp_basis_on_double_root_at_phibar_zero."""
+    zeta = -0.3 - 0.8j
+    phi = RatFun(Poly([-np.conj(zeta), 1.0]), poly_from_roots([-1j, -3j]))
+    phibar = conj_reflect(phi)
+    a1, a2 = np.linalg.solve(2j * PI * np.array([[1, 1], [2j, 1j]]),
+                             [-2 * zeta - 3j, zeta ** 2 + 2])
+    psi = pole_sum([-1j, -2j], [a1 / phibar(-1j), a2 / phibar(-2j)])
+    return FriedrichsModel(phi, psi, 0.0)
+
+
+def test_sperp_basis_finds_phibar_zeros_once(monkeypatch):
+    # building the model finds psi's poles (degree 2); the classification
+    # finds phibar's zeros (degree 1) and hands them on; the basis finds the
+    # zeros of D_plus (degree 2)
+    calls = spy_calls(monkeypatch, "poly_roots", detect, ratfun)
+    (g,) = sperp_basis(double_root_model())
+    assert [p.degree for (p, *_) in calls] == [2, 1, 2]
 
 
 @pytest.mark.parametrize("model, dead", [
@@ -371,6 +391,37 @@ def test_toeplitz_eigenfunction_law():
         for g in toeplitz_sperp_basis(MOD_T, alpha):
             assert sperp_residual(eff, g) < 1e-8
         assert sperp_residual(eff, RatFun.simple_pole(5j)) > 1e-3
+
+
+def test_toeplitz_zero_at_minus_i():
+    # oracle: mu = 1/(2 pi i alpha) = -1/8, and (x - i)(x - 3i) = -8 at -i and 5i
+    alpha = 4j / PI
+    rep = toeplitz_defect(MOD_T, alpha)
+    assert rep.defect == 1 and [c for _, c in rep.roots] == ["BLASCHKE"]
+    assert abs(rep.roots[0][0] + 1j) < 1e-12
+    (g,) = toeplitz_sperp_basis(MOD_T, alpha)
+    assert sperp_residual(cauchy_kernel_model(MOD_T, alpha), g) < 1e-8
+
+
+def test_toeplitz_basis_refuses_alpha_zero():
+    with pytest.raises(ValueError, match="alpha must be nonzero"):
+        toeplitz_sperp_basis(MOD_T, 0)
+
+
+@pytest.mark.parametrize("route", [toeplitz_defect, toeplitz_sperp_basis])
+def test_toeplitz_routes_refuse_phi_below_the_axis(route):
+    lower_phi = FriedrichsModel(RatFun.simple_pole(-2j), PSI_T, 0.0)
+    with pytest.raises(ValueError, match="phi must have all poles in the upper"):
+        route(lower_phi, 0.5j)
+
+
+@pytest.mark.parametrize("route", [toeplitz_defect, toeplitz_sperp_basis])
+def test_toeplitz_finds_the_zeros_once(monkeypatch, route):
+    # the split of the zeros of a - mu is one root finding; no outer factor
+    # is divided out
+    calls = spy_calls(monkeypatch, "poly_roots", detect, hardy, ratfun)
+    route(MOD_T, 0.5j)
+    assert len(calls) == 1
 
 
 def test_toeplitz_large_mu_resolvent_set():

@@ -11,7 +11,8 @@ from fmlab.ratfun import (REAL_BAND, Poly, RatFun, conj_reflect,
 from fmlab.hardy import PiecewiseFun
 from fmlab.friedrichs import FriedrichsModel, apply_resolvent, m_function
 from fmlab.detect import (alpha_pencil, continuation_terms, d_plus,
-                          defect_hardy_plus, pencil_defects, pencil_roots)
+                          defect_hardy_plus, pencil_defects, pencil_roots,
+                          sperp_basis, sperp_residual)
 from fmlab import detect, scancli
 from fmlab.scancli import (
     FIG_CROSSINGS, ComponentMap, CurveTrace, ScanGrid, _any_within,
@@ -332,6 +333,17 @@ def test_near_m0_model_is_counted():
     for shift in (1e-13, 1e-11, 1e-9):
         sg = scan_defect_grid(m0_model(shift), grid, plane="ALPHA")
         assert np.array_equal(sg.defects, exact.defects)
+
+
+def test_sperp_basis_on_m0_model():
+    # with psi scaled by -3i the root of D_plus away from -2i lies above the
+    # axis; the M0 data pole -2i fixes gbar(-2i) = 0, which leaves one function
+    model = m0_model()
+    model = FriedrichsModel(model.phi, model.psi * -3j, 0.0)
+    rep = defect_hardy_plus(model)
+    assert (rep.N, rep.P, rep.M0, rep.defect) == (2, 0, 1, 1)
+    (g,) = sperp_basis(model)
+    assert sperp_residual(model, g) < 1e-8
 
 
 def test_cli_defect_on_near_m0_model(tmp_path):
@@ -968,6 +980,12 @@ def test_cli_defect_at_large_alpha(model_file, tmp_path):
 TWO_POLE_JSON = {"phi": {"num": [[1, 0]], "den": [[0, 1], [1, 0]]},
                  "psi": {"num": [[0, -1], [1, 0]], "den": [[-2, 0], [0, 3], [1, 0]]},
                  "B": [0, 0]}
+
+
+def test_cli_figure2_writes_the_pipeline_report(figure_run, tmp_path):
+    out = tmp_path / "figure2.json"
+    assert main(["figure2", "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(figure_run[0], indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_scan_readme_parabola(tmp_path):
